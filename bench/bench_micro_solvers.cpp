@@ -1,11 +1,13 @@
-// Microbenchmarks (google-benchmark): VFI clustering solvers and the
-// threaded MapReduce runtime.  Engineering numbers, not paper figures.
+// Microbenchmarks (google-benchmark): VFI clustering solvers, min-hop thread
+// mapping and the threaded MapReduce runtime.  Engineering numbers, not
+// paper figures.
 
 #include <benchmark/benchmark.h>
 
 #include "mapreduce/apps/histogram.hpp"
 #include "mapreduce/apps/wordcount.hpp"
 #include "vfi/clustering.hpp"
+#include "winoc/thread_mapping.hpp"
 #include "workload/profile.hpp"
 
 using namespace vfimr;
@@ -33,6 +35,24 @@ void BM_ClusteringAnneal64(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusteringAnneal64)->Arg(20000)->Arg(200000)
     ->Unit(benchmark::kMillisecond);
+
+void BM_ThreadMappingMinHop(benchmark::State& state) {
+  // The mapping SA build_platform runs for every platform: WC's traffic
+  // over the NVFI quadrant blocks, default 30k iterations.
+  const auto profile = workload::make_profile(workload::App::kWC);
+  std::vector<std::size_t> blocks(64);
+  for (std::size_t t = 0; t < 64; ++t) blocks[t] = t / 16;
+  const auto iterations = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    Rng rng{7};
+    auto mapping =
+        winoc::map_threads_min_hop(profile.traffic, blocks, rng, iterations);
+    benchmark::DoNotOptimize(mapping.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(iterations));
+}
+BENCHMARK(BM_ThreadMappingMinHop)->Arg(30000)->Unit(benchmark::kMillisecond);
 
 void BM_ClusteringExact12(benchmark::State& state) {
   // 12 cores, 3 clusters: exact branch-and-bound scale.

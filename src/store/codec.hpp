@@ -19,7 +19,11 @@
 // run.
 //
 // Bump kCodecVersion whenever a serialized struct gains, loses or reorders
-// a field; old stores then degrade to cold caches automatically.
+// a field, and also whenever the code that computes a stored value may
+// produce different bits for the same key (e.g. a solver whose
+// floating-point evaluation order changed); old stores then degrade to cold
+// caches automatically instead of serving results the current code would
+// not reproduce.
 
 #include <string>
 #include <string_view>
@@ -32,7 +36,7 @@ namespace vfimr::store {
 
 /// Version of the *value* encodings below (independent of the store's
 /// record framing version, kStoreFormatVersion).
-inline constexpr std::uint32_t kCodecVersion = 1;
+inline constexpr std::uint32_t kCodecVersion = 2;
 
 std::string encode_network_eval(const sysmodel::NetworkEval& eval);
 bool decode_network_eval(std::string_view bytes, sysmodel::NetworkEval& out);

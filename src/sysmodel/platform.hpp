@@ -174,8 +174,9 @@ BuiltPlatform build_platform(const workload::AppProfile& profile,
 /// do NOT enter the key — platform design is invariant under them, which is
 /// what makes one cached platform safe to share across every point of a
 /// sweep axis.  Compute-once under contention: concurrent requests for the
-/// same key block on the first builder (the VFI design flow is ~25x the
-/// cost of a network evaluation, so duplicate builds would dwarf the win).
+/// same key block on the first builder (one catalog design flow costs
+/// ~25 ms on a 4-vCPU host, ~40x an analytical network evaluation, so
+/// duplicate builds would dwarf the win).
 class PlatformCache {
  public:
   /// Returns the platform for (profile, params, table), building it on the

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/require.hpp"
 
@@ -87,6 +88,54 @@ double ClusteringCost::cost(const std::vector<std::size_t>& assignment) const {
   return comm_cost(assignment) + util_cost(assignment);
 }
 
+SwapGainTable::SwapGainTable(const ClusteringCost& cost,
+                             std::vector<std::size_t> assignment)
+    : cost_{&cost},
+      assign_{std::move(assignment)},
+      clusters_{cost.problem().clusters},
+      gain_(assign_.size() * clusters_, 0.0) {
+  const std::size_t n = assign_.size();
+  VFIMR_REQUIRE(n == cost.problem().cores());
+  for (const std::size_t c : assign_) VFIMR_REQUIRE(c < clusters_);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const double> w = cost.pair_weights(i);
+    double* row = &gain_[i * clusters_];
+    for (std::size_t x = 0; x < n; ++x) row[assign_[x]] += w[x];
+  }
+}
+
+double SwapGainTable::delta(std::size_t a, std::size_t b) const {
+  const std::size_t ca = assign_[a];
+  const std::size_t cb = assign_[b];
+  VFIMR_REQUIRE(ca != cb);
+  const ClusteringCost& cost = *cost_;
+  const auto& prob = cost.problem();
+  const double* wa = &gain_[a * clusters_];
+  const double* wb = &gain_[b * clusters_];
+  const double d_comm = (1.0 - cost.phi_intra()) *
+                        (wa[ca] + wb[cb] - wa[cb] - wb[ca] +
+                         2.0 * cost.pair_weights(a)[b]);
+  const double d_util = cost.util_term(a, cb) + cost.util_term(b, ca) -
+                        cost.util_term(a, ca) - cost.util_term(b, cb);
+  return prob.weight_comm * d_comm + prob.weight_util * d_util;
+}
+
+void SwapGainTable::swap(std::size_t a, std::size_t b) {
+  const std::size_t ca = assign_[a];
+  const std::size_t cb = assign_[b];
+  VFIMR_REQUIRE(ca != cb);
+  // Cluster ca trades a for b and cb trades b for a; w is symmetric, so
+  // rows a and b of the weights are columns a and b.
+  const std::span<const double> wa = cost_->pair_weights(a);
+  const std::span<const double> wb = cost_->pair_weights(b);
+  for (std::size_t i = 0; i < assign_.size(); ++i) {
+    double* row = &gain_[i * clusters_];
+    row[ca] += wb[i] - wa[i];
+    row[cb] += wa[i] - wb[i];
+  }
+  std::swap(assign_[a], assign_[b]);
+}
+
 namespace {
 
 void check_sizes(const ClusteringProblem& p,
@@ -99,47 +148,17 @@ void check_sizes(const ClusteringProblem& p,
   for (std::size_t f : fill) VFIMR_REQUIRE(f == p.cluster_size());
 }
 
-/// Cost change of swapping cores a and b between their (distinct) clusters.
-double swap_delta(const ClusteringCost& cost,
-                  const std::vector<std::size_t>& assign, std::size_t a,
-                  std::size_t b) {
-  const std::size_t ca = assign[a];
-  const std::size_t cb = assign[b];
-  VFIMR_REQUIRE(ca != cb);
-  const auto& prob = cost.problem();
-  const double inter_minus_intra = 1.0 - cost.phi_intra();
-  double d_comm = 0.0;
-  for (std::size_t x = 0; x < assign.size(); ++x) {
-    if (x == a || x == b) continue;
-    const std::size_t cx = assign[x];
-    if (cx == ca) {
-      // (a,x): intra -> inter; (b,x): inter -> intra.
-      d_comm += cost.pair_weight(a, x) * inter_minus_intra;
-      d_comm -= cost.pair_weight(b, x) * inter_minus_intra;
-    } else if (cx == cb) {
-      d_comm -= cost.pair_weight(a, x) * inter_minus_intra;
-      d_comm += cost.pair_weight(b, x) * inter_minus_intra;
-    }
-  }
-  const double d_util = cost.util_term(a, cb) + cost.util_term(b, ca) -
-                        cost.util_term(a, ca) - cost.util_term(b, cb);
-  return prob.weight_comm * d_comm + prob.weight_util * d_util;
-}
-
 /// Steepest-descent pairwise-swap refinement to a local optimum.
-void refine(const ClusteringCost& cost, std::vector<std::size_t>& assign,
-            double& current) {
-  const std::size_t n = assign.size();
+void refine(SwapGainTable& table) {
+  const std::size_t n = table.assignment().size();
   bool improved = true;
   while (improved) {
     improved = false;
     for (std::size_t a = 0; a < n; ++a) {
       for (std::size_t b = a + 1; b < n; ++b) {
-        if (assign[a] == assign[b]) continue;
-        const double d = swap_delta(cost, assign, a, b);
-        if (d < -1e-12) {
-          std::swap(assign[a], assign[b]);
-          current += d;
+        if (table.assignment()[a] == table.assignment()[b]) continue;
+        if (table.delta(a, b) < -1e-12) {
+          table.swap(a, b);
           improved = true;
         }
       }
@@ -229,39 +248,37 @@ ClusteringResult solve_anneal(const ClusteringProblem& problem,
   ClusteringResult best;
   best.cost = std::numeric_limits<double>::max();
 
+  // Geometric cooling from t_initial to t_final: one pow, then a multiply
+  // per iteration.
+  const double step =
+      std::pow(params.t_final / params.t_initial,
+               1.0 / static_cast<double>(params.iterations));
   for (std::size_t restart = 0; restart < params.restarts; ++restart) {
     // Random equal-size start.
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), 0);
     rng.shuffle(order);
-    std::vector<std::size_t> assign(n);
+    std::vector<std::size_t> start(n);
     for (std::size_t k = 0; k < n; ++k) {
-      assign[order[k]] = k / problem.cluster_size();
+      start[order[k]] = k / problem.cluster_size();
     }
-    double current = cost.cost(assign);
+    SwapGainTable table{cost, std::move(start)};
 
-    const double ratio = params.t_final / params.t_initial;
-    for (std::size_t it = 0; it < params.iterations; ++it) {
-      const double temp =
-          params.t_initial *
-          std::pow(ratio, static_cast<double>(it) /
-                              static_cast<double>(params.iterations));
+    double temp = params.t_initial;
+    for (std::size_t it = 0; it < params.iterations; ++it, temp *= step) {
       const auto a = static_cast<std::size_t>(rng.uniform_u64(n));
       auto b = static_cast<std::size_t>(rng.uniform_u64(n - 1));
       if (b >= a) ++b;
-      if (assign[a] == assign[b]) continue;
-      const double d = swap_delta(cost, assign, a, b);
-      if (d <= 0.0 || rng.uniform() < std::exp(-d / temp)) {
-        std::swap(assign[a], assign[b]);
-        current += d;
-      }
+      if (table.assignment()[a] == table.assignment()[b]) continue;
+      const double d = table.delta(a, b);
+      if (d <= 0.0 || rng.uniform() < std::exp(-d / temp)) table.swap(a, b);
     }
-    refine(cost, assign, current);
-    // Guard against accumulated floating-point drift.
-    current = cost.cost(assign);
+    refine(table);
+    // Score from scratch: the table's running sums carry rounding drift.
+    const double current = cost.cost(table.assignment());
     if (current < best.cost) {
       best.cost = current;
-      best.assignment = std::move(assign);
+      best.assignment = table.assignment();
     }
   }
   check_sizes(problem, best.assignment);

@@ -12,9 +12,12 @@
 //
 // The paper solves this with Gurobi; here an exact branch-and-bound handles
 // small instances (tested against brute force) and simulated annealing with
-// pairwise-swap descent handles the 64-core platform.
+// pairwise-swap descent handles the 64-core platform.  Both annealing
+// phases price a swap in O(1) through a Kernighan-Lin gain table
+// (SwapGainTable below).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -53,6 +56,11 @@ class ClusteringCost {
   double pair_weight(std::size_t i, std::size_t p) const {
     return sym_traffic_(i, p);
   }
+  /// Row i of the symmetric weights: pair_weights(i)[p] == pair_weight(i, p).
+  std::span<const double> pair_weights(std::size_t i) const {
+    const std::size_t n = sym_traffic_.cols();
+    return std::span<const double>{sym_traffic_.data()}.subspan(i * n, n);
+  }
   double util_term(std::size_t core, std::size_t cluster) const;
 
  private:
@@ -61,6 +69,45 @@ class ClusteringCost {
   std::vector<double> norm_u_;
   std::vector<double> ubar_;  // per cluster, from sorted quantile groups
   double phi_intra_;
+};
+
+/// Kernighan-Lin gain table over a complete assignment:
+///
+///   W(i, k) = sum_{x in cluster k} pair_weight(i, x).
+///
+/// Swapping a (cluster ca) with b (cluster cb) turns the pairs (a, ca\{a})
+/// and (b, cb\{b}) from intra- to inter-cluster and (a, cb\{b}),
+/// (b, ca\{a}) the other way, so the communication term changes by
+///
+///   (1 - phi_intra) * (W(a,ca) + W(b,cb) - W(a,cb) - W(b,ca) + 2 w(a,b))
+///
+/// times w_c, an O(1) lookup.  Built in O(n^2); an applied swap moves a and
+/// b between columns ca and cb of every row, an O(n) update.  The table
+/// owns the assignment so the two cannot drift apart; `cost` must outlive
+/// it.
+class SwapGainTable {
+ public:
+  SwapGainTable(const ClusteringCost& cost,
+                std::vector<std::size_t> assignment);
+
+  /// Change of ClusteringCost::cost (up to rounding) if cores a and b,
+  /// which must sit in different clusters, swapped clusters.
+  double delta(std::size_t a, std::size_t b) const;
+
+  /// Swaps the clusters of a and b and updates the two affected columns.
+  void swap(std::size_t a, std::size_t b);
+
+  const std::vector<std::size_t>& assignment() const { return assign_; }
+  /// W(core, cluster); core < cores, cluster < clusters.
+  double gain(std::size_t core, std::size_t cluster) const {
+    return gain_[core * clusters_ + cluster];
+  }
+
+ private:
+  const ClusteringCost* cost_;
+  std::vector<std::size_t> assign_;
+  std::size_t clusters_;
+  std::vector<double> gain_;  // row-major n x clusters
 };
 
 struct ClusteringResult {

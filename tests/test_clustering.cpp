@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
+#include "harness/generators.hpp"
+#include "harness/property.hpp"
 
 namespace vfimr::vfi {
 namespace {
@@ -209,6 +212,62 @@ TEST_P(SwapDeltaProperty, AnnealCostIsConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SwapDeltaProperty,
                          ::testing::Range<std::uint64_t>(0, 10));
+
+TEST(SwapGainTable, DeltaMatchesFromScratchCostAndUpdatesMatchFreshBuild) {
+  test::for_each_seed(12, [](Rng& rng, std::uint64_t) {
+    const std::size_t clusters = 2 + rng.uniform_u64(3);  // 2..4
+    const std::size_t min_size = (8 + clusters - 1) / clusters;
+    const std::size_t size =
+        min_size + rng.uniform_u64(64 / clusters - min_size + 1);
+    const std::size_t cores = clusters * size;  // 8..64
+    auto problem = test::random_clustering_problem(rng, cores, clusters);
+    problem.weight_comm = rng.uniform(0.25, 4.0);
+    problem.weight_util = rng.uniform(0.25, 4.0);
+    const ClusteringCost cost{problem};
+
+    std::vector<std::size_t> order(cores);
+    std::iota(order.begin(), order.end(), 0);
+    rng.shuffle(order);
+    std::vector<std::size_t> start(cores);
+    for (std::size_t k = 0; k < cores; ++k) start[order[k]] = k / size;
+    SwapGainTable table{cost, start};
+
+    double current = cost.cost(table.assignment());
+    for (int applied = 0; applied < 1200; ++applied) {
+      std::size_t a = 0;
+      std::size_t b = 0;
+      do {
+        a = rng.uniform_u64(cores);
+        b = rng.uniform_u64(cores);
+      } while (table.assignment()[a] == table.assignment()[b]);
+      const double d = table.delta(a, b);
+      table.swap(a, b);
+      const double next = cost.cost(table.assignment());
+      ASSERT_NEAR(d, next - current, 1e-9 * (1.0 + std::abs(current)))
+          << "swap " << applied << " of cores " << a << " and " << b;
+      current = next;
+    }
+
+    // 1200 in-place column updates agree with a table built from scratch.
+    const SwapGainTable fresh{cost, table.assignment()};
+    for (std::size_t i = 0; i < cores; ++i) {
+      for (std::size_t k = 0; k < clusters; ++k) {
+        ASSERT_NEAR(table.gain(i, k), fresh.gain(i, k), 1e-12)
+            << "W(" << i << ", " << k << ")";
+      }
+    }
+  });
+}
+
+TEST(SwapGainTable, RejectsSameClusterMovesAndForeignClusters) {
+  const auto p = random_problem(8, 2, 3);
+  const ClusteringCost cost{p};
+  SwapGainTable table{cost, {0, 0, 0, 0, 1, 1, 1, 1}};
+  EXPECT_THROW((void)table.delta(0, 1), RequirementError);
+  EXPECT_THROW(table.swap(4, 5), RequirementError);
+  EXPECT_THROW((SwapGainTable{cost, {0, 0, 0, 0, 1, 1, 1, 2}}),
+               RequirementError);
+}
 
 }  // namespace
 }  // namespace vfimr::vfi

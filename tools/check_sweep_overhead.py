@@ -14,11 +14,12 @@ than MAX_REGRESSION (default 3%) below the committed one, some "zero
 overhead when disabled" claim has regressed and the build fails.
 
 Passing KEY reuses the same committed-vs-fresh floor for other
-machine-portable products — CI points it at
-`bench_cluster.obs.loop_vs_matrix` (serving throughput x service-matrix
-seconds: the two factors move with host speed in opposite directions, so
-the product flags a serving-loop slowdown, not a slower runner) with a
-correspondingly looser MAX_REGRESSION.
+machine-portable ratios — CI points it at
+`bench_cluster.obs.loop_vs_calibration` (serving-loop jobs/s divided by the
+ops/s of a fixed-seed std::priority_queue kernel timed in the same process:
+host speed moves both alike, and the kernel uses nothing from src/, so the
+ratio flags a serving-loop slowdown, not a slower runner or a faster design
+flow) with a correspondingly looser MAX_REGRESSION.
 """
 
 import json
