@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "common/require.hpp"
 #include "workload/profile.hpp"
@@ -102,6 +103,13 @@ struct Table2Case {
   std::vector<double> vfi1_ghz;  // sorted
   std::vector<double> vfi2_ghz;  // sorted
 };
+
+// Names the case by its app. Without it gtest prints the struct's raw
+// bytes (padding and heap pointers), so the test's name would change from
+// run to run.
+void PrintTo(const Table2Case& c, std::ostream* os) {
+  *os << workload::app_name(c.app);
+}
 
 class Table2Regression : public ::testing::TestWithParam<Table2Case> {};
 
