@@ -15,9 +15,13 @@
 // are resolved by comparing the stored key bytes, so a hash collision can
 // never alias two different computations).
 
+#include <algorithm>
+#include <array>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -25,9 +29,63 @@
 
 namespace vfimr::store {
 
-/// Append-only canonical byte writer.  put() accepts trivially-copyable
-/// scalar types (integers, doubles, enums); aggregates must be serialized
-/// field by field so struct padding never leaks into the stream.
+// ---- Schema visitors.  store/schema.hpp describes each serialized struct
+// once, as a fields(v, s) function that visits its fields in wire order:
+// v(a, b, ...).  ByteWriter and ByteReader are the two visitors, so one
+// description builds a cache key, encodes a record and decodes it.  Wire
+// rules:
+//   * bool is one byte (a reader maps any nonzero byte to true);
+//   * another arithmetic scalar is its raw bytes;
+//   * an enum is visited only through as<Wire>(e): the schema, not the
+//     enum's underlying type, fixes its width;
+//   * std::vector is a u64 element count, then its elements;
+//   * std::array and std::span are their elements alone;
+//   * anything else is its own fields(v, s) description, found by ADL.
+
+/// Matches T and const T, so one fields() template serves the writer
+/// (const values) and the reader (mutable ones).
+template <typename S, typename T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
+
+template <typename Wire, typename T>
+struct WireAs {
+  using wire_type = Wire;
+  T& value;
+};
+
+/// Visit `value` (an enum) as a `Wire` integer.
+template <typename Wire, typename T>
+WireAs<Wire, T> as(T& value) {
+  return {value};
+}
+
+namespace detail {
+
+template <typename T>
+inline constexpr bool kIsWireAs = false;
+template <typename W, typename T>
+inline constexpr bool kIsWireAs<WireAs<W, T>> = true;
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+template <typename T>
+inline constexpr bool kIsFixedRange = false;
+template <typename T, std::size_t N>
+inline constexpr bool kIsFixedRange<std::array<T, N>> = true;
+template <typename T, std::size_t N>
+inline constexpr bool kIsFixedRange<std::span<T, N>> = true;
+
+template <typename T>
+inline constexpr bool kIsRawScalar =
+    std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;
+
+}  // namespace detail
+
+/// Append-only canonical byte writer: put() copies one trivially-copyable
+/// scalar; operator() visits values by the schema rules above.
 class ByteWriter {
  public:
   template <typename T>
@@ -39,36 +97,59 @@ class ByteWriter {
     buf_.append(reinterpret_cast<const char*>(&v), sizeof(T));
   }
 
-  void put_bytes(const void* p, std::size_t n) {
-    buf_.append(static_cast<const char*>(p), n);
-  }
-
   /// Length-prefixed string / blob.
   void put_string(std::string_view s) {
     put(static_cast<std::uint64_t>(s.size()));
     buf_.append(s.data(), s.size());
   }
 
-  /// Length-prefixed vector of trivially-copyable elements, element by
-  /// element.
-  template <typename T>
-  void put_vector(const std::vector<T>& v) {
-    put(static_cast<std::uint64_t>(v.size()));
-    for (const T& x : v) put(x);
+  template <typename... T>
+  void operator()(const T&... v) {
+    (visit(v), ...);
   }
 
+  void reserve(std::size_t n) { buf_.reserve(n); }
   const std::string& bytes() const { return buf_; }
   std::string take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
 
  private:
+  template <typename T>
+  void visit(const T& v) {
+    static_assert(!std::is_enum_v<T>, "visit enums through as<Wire>()");
+    if constexpr (std::is_same_v<T, bool>) {
+      put(static_cast<std::uint8_t>(v));
+    } else if constexpr (detail::kIsRawScalar<T>) {
+      put(v);
+    } else if constexpr (detail::kIsWireAs<T>) {
+      put(static_cast<typename T::wire_type>(v.value));
+    } else if constexpr (detail::kIsVector<T> || detail::kIsFixedRange<T>) {
+      if constexpr (detail::kIsVector<T>) {
+        put(static_cast<std::uint64_t>(v.size()));
+      }
+      using E = std::remove_cv_t<typename T::value_type>;
+      if constexpr (detail::kIsRawScalar<E>) {
+        if (!v.empty()) {
+          buf_.append(reinterpret_cast<const char*>(v.data()),
+                      v.size() * sizeof(E));
+        }
+      } else {
+        for (const auto& e : v) visit(e);
+      }
+    } else {
+      fields(*this, v);
+    }
+  }
+
   std::string buf_;
 };
 
 /// Sequential reader over a byte span.  Every get() validates bounds; the
 /// first short read latches ok() to false and later reads return zeroed
 /// values, so decoders can check ok() once at the end instead of after
-/// every field.
+/// every field.  operator() visits values by the schema rules above, so it
+/// only accepts mutable fields: key-only descriptions, which read through
+/// accessors, do not compile with it.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
@@ -98,22 +179,9 @@ class ByteReader {
     return true;
   }
 
-  template <typename T>
-  bool get_vector(std::vector<T>& out) {
-    std::uint64_t n = 0;
-    out.clear();
-    if (!get(n)) return false;
-    // Reject sizes the remaining bytes cannot possibly hold, so a corrupt
-    // length field fails fast instead of attempting a huge allocation.
-    if ((data_.size() - pos_) / sizeof(T) < n) {
-      ok_ = false;
-      return false;
-    }
-    out.resize(static_cast<std::size_t>(n));
-    for (T& x : out) {
-      if (!get(x)) return false;
-    }
-    return true;
+  template <typename... T>
+  void operator()(T&&... v) {
+    (visit(std::forward<T>(v)), ...);
   }
 
   bool ok() const { return ok_; }
@@ -123,6 +191,55 @@ class ByteReader {
   std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
+  template <typename T>
+  void visit(T&& v) {
+    using U = std::remove_cvref_t<T>;
+    static_assert(!std::is_enum_v<U>, "visit enums through as<Wire>()");
+    static_assert(detail::kIsWireAs<U> ||
+                      (std::is_lvalue_reference_v<T> &&
+                       !std::is_const_v<std::remove_reference_t<T>>),
+                  "a reader can only fill a mutable field");
+    if constexpr (detail::kIsWireAs<U>) {
+      typename U::wire_type wire{};
+      get(wire);
+      v.value = static_cast<std::remove_cvref_t<decltype(v.value)>>(wire);
+    } else if constexpr (std::is_same_v<U, bool>) {
+      std::uint8_t byte = 0;
+      get(byte);
+      v = byte != 0;
+    } else if constexpr (detail::kIsRawScalar<U>) {
+      get(v);
+    } else if constexpr (detail::kIsVector<U>) {
+      std::uint64_t n = 0;
+      v.clear();
+      get(n);
+      // Length before allocation: a count the remaining bytes cannot hold
+      // fails the read instead of attempting a huge allocation.
+      if (n > remaining() / min_wire_size<typename U::value_type>()) {
+        ok_ = false;
+        return;
+      }
+      v.resize(static_cast<std::size_t>(n));
+      for (auto& e : v) visit(e);
+    } else if constexpr (detail::kIsFixedRange<U>) {
+      for (auto& e : v) visit(e);
+    } else {
+      fields(*this, v);
+    }
+  }
+
+  /// Fewest bytes one encoded E takes: a scalar's size, else the encoding
+  /// of a default E (whose vectors are empty).
+  template <typename E>
+  static std::size_t min_wire_size() {
+    static const std::size_t size = [] {
+      ByteWriter w;
+      w(E{});
+      return std::max<std::size_t>(w.size(), 1);
+    }();
+    return size;
+  }
+
   std::string_view data_;
   std::size_t pos_ = 0;
   bool ok_ = true;

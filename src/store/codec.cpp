@@ -1,6 +1,6 @@
 #include "store/codec.hpp"
 
-#include "store/bytes.hpp"
+#include "store/schema.hpp"
 
 namespace vfimr::store {
 
@@ -15,306 +15,69 @@ enum class Kind : std::uint32_t {
   kSystemComparison = 4,
 };
 
-void put_preamble(ByteWriter& w, Kind kind) {
-  w.put(kCodecVersion);
-  w.put(static_cast<std::uint32_t>(kind));
+/// [codec version u32][kind tag u32], then `value` as store/schema.hpp
+/// describes it.
+template <typename T>
+std::string encode(Kind kind, const T& value) {
+  ByteWriter w;
+  w(kCodecVersion, as<std::uint32_t>(kind), value);
+  return w.take();
 }
 
-bool get_preamble(ByteReader& r, Kind kind) {
+/// The inverse of encode().  A foreign version or kind, a length the bytes
+/// cannot hold, a short read or trailing bytes all return false and leave
+/// `out` untouched.
+template <typename T>
+bool decode(Kind kind, std::string_view bytes, T& out) {
+  ByteReader r{bytes};
   std::uint32_t version = 0;
   std::uint32_t tag = 0;
-  r.get(version);
-  r.get(tag);
-  return r.ok() && version == kCodecVersion &&
-         tag == static_cast<std::uint32_t>(kind);
-}
-
-void put_accumulator(ByteWriter& w, const Accumulator& a) {
-  const Accumulator::Raw raw = a.raw();
-  w.put(raw.n);
-  w.put(raw.mean);
-  w.put(raw.m2);
-  w.put(raw.sum);
-  w.put(raw.min);
-  w.put(raw.max);
-}
-
-bool get_accumulator(ByteReader& r, Accumulator& out) {
-  Accumulator::Raw raw;
-  r.get(raw.n);
-  r.get(raw.mean);
-  r.get(raw.m2);
-  r.get(raw.sum);
-  r.get(raw.min);
-  r.get(raw.max);
-  out = Accumulator::from_raw(raw);
-  return r.ok();
-}
-
-void put_metrics(ByteWriter& w, const noc::Metrics& m) {
-  w.put(m.packets_injected);
-  w.put(m.packets_ejected);
-  w.put(m.packets_local);
-  w.put(m.flits_ejected);
-  w.put(m.cycles);
-  put_accumulator(w, m.packet_latency);
-  w.put(m.energy.switch_traversals);
-  w.put(m.energy.wire_hops);
-  w.put(m.energy.wire_mm_flits);
-  w.put(m.energy.wireless_flits);
-  w.put(m.energy.buffer_writes);
-  w.put(m.energy.buffer_reads);
-  w.put(m.fault_events);
-  w.put(m.route_rebuilds);
-  w.put(m.retry_backoffs);
-  w.put(m.packets_lost);
-  w.put(m.flits_lost);
-}
-
-bool get_metrics(ByteReader& r, noc::Metrics& m) {
-  r.get(m.packets_injected);
-  r.get(m.packets_ejected);
-  r.get(m.packets_local);
-  r.get(m.flits_ejected);
-  r.get(m.cycles);
-  get_accumulator(r, m.packet_latency);
-  r.get(m.energy.switch_traversals);
-  r.get(m.energy.wire_hops);
-  r.get(m.energy.wire_mm_flits);
-  r.get(m.energy.wireless_flits);
-  r.get(m.energy.buffer_writes);
-  r.get(m.energy.buffer_reads);
-  r.get(m.fault_events);
-  r.get(m.route_rebuilds);
-  r.get(m.retry_backoffs);
-  r.get(m.packets_lost);
-  r.get(m.flits_lost);
-  return r.ok();
-}
-
-void put_network_eval(ByteWriter& w, const sysmodel::NetworkEval& eval) {
-  w.put(eval.avg_latency_cycles);
-  w.put(eval.energy_per_flit_j);
-  w.put(eval.wireless_utilization);
-  w.put(eval.flits_delivered);
-  w.put(static_cast<std::uint8_t>(eval.drained));
-  put_metrics(w, eval.metrics);
-}
-
-bool get_network_eval(ByteReader& r, sysmodel::NetworkEval& out) {
-  r.get(out.avg_latency_cycles);
-  r.get(out.energy_per_flit_j);
-  r.get(out.wireless_utilization);
-  r.get(out.flits_delivered);
-  std::uint8_t drained = 0;
-  r.get(drained);
-  out.drained = drained != 0;
-  return get_metrics(r, out.metrics);
-}
-
-void put_vf_points(ByteWriter& w, const std::vector<power::VfPoint>& pts) {
-  w.put(static_cast<std::uint64_t>(pts.size()));
-  for (const power::VfPoint& p : pts) {
-    w.put(p.voltage_v);
-    w.put(p.freq_hz);
+  r(version, tag);
+  if (!r.ok() || version != kCodecVersion ||
+      tag != static_cast<std::uint32_t>(kind)) {
+    return false;
   }
-}
-
-bool get_vf_points(ByteReader& r, std::vector<power::VfPoint>& out) {
-  std::uint64_t n = 0;
-  r.get(n);
-  out.clear();
-  if (!r.ok() || r.remaining() / (2 * sizeof(double)) < n) return false;
-  out.resize(static_cast<std::size_t>(n));
-  for (power::VfPoint& p : out) {
-    r.get(p.voltage_v);
-    r.get(p.freq_hz);
-  }
-  return r.ok();
-}
-
-void put_vfi_design(ByteWriter& w, const vfi::VfiDesign& d) {
-  w.put_vector(d.assignment);
-  put_vf_points(w, d.vfi1);
-  put_vf_points(w, d.vfi2);
-  w.put_vector(d.raised_clusters);
-  w.put(d.clustering_cost);
-}
-
-bool get_vfi_design(ByteReader& r, vfi::VfiDesign& out) {
-  r.get_vector(out.assignment);
-  get_vf_points(r, out.vfi1);
-  get_vf_points(r, out.vfi2);
-  r.get_vector(out.raised_clusters);
-  r.get(out.clustering_cost);
-  return r.ok();
-}
-
-void put_phase_result(ByteWriter& w, const sysmodel::PhaseResult& p) {
-  w.put(static_cast<std::uint8_t>(p.phase));
-  w.put(static_cast<std::uint8_t>(p.evaluated));
-  put_network_eval(w, p.net);
-  w.put(p.baseline_latency_cycles);
-  w.put(p.mem_scale);
-  w.put(p.time_s);
-  w.put(p.net_dynamic_j);
-  w.put(p.rate_packets_per_cycle);
-}
-
-bool get_phase_result(ByteReader& r, sysmodel::PhaseResult& out) {
-  std::uint8_t phase = 0;
-  std::uint8_t evaluated = 0;
-  r.get(phase);
-  r.get(evaluated);
-  out.phase = static_cast<workload::Phase>(phase);
-  out.evaluated = evaluated != 0;
-  get_network_eval(r, out.net);
-  r.get(out.baseline_latency_cycles);
-  r.get(out.mem_scale);
-  r.get(out.time_s);
-  r.get(out.net_dynamic_j);
-  r.get(out.rate_packets_per_cycle);
-  return r.ok();
-}
-
-void put_system_report(ByteWriter& w, const sysmodel::SystemReport& s) {
-  w.put(static_cast<std::uint32_t>(s.kind));
-  w.put(s.phases.lib_init_s);
-  w.put(s.phases.map_s);
-  w.put(s.phases.reduce_s);
-  w.put(s.phases.merge_s);
-  w.put(s.exec_s);
-  w.put(s.core_energy_j);
-  w.put(s.net_dynamic_j);
-  w.put(s.net_static_j);
-  put_network_eval(w, s.net);
-  for (const sysmodel::PhaseResult& p : s.phase_results) {
-    put_phase_result(w, p);
-  }
-  w.put(static_cast<std::uint8_t>(s.phase_resolved));
-  w.put(s.resilience.core_failures);
-  w.put(s.resilience.tasks_reexecuted);
-  w.put(s.resilience.wasted_core_seconds);
-  w.put(s.resilience.noc_fault_events);
-  w.put(s.resilience.noc_route_rebuilds);
-  w.put(s.resilience.noc_retry_backoffs);
-  w.put(s.resilience.packets_lost);
-  w.put(s.resilience.flits_lost);
-  w.put(s.resilience.net_stall_seconds);
-  w.put(s.baseline_latency_cycles);
-  w.put(s.mem_scale);
-  w.put(static_cast<std::uint8_t>(s.has_vfi));
-  put_vfi_design(w, s.vfi);
-}
-
-bool get_system_report(ByteReader& r, sysmodel::SystemReport& out) {
-  std::uint32_t kind = 0;
-  r.get(kind);
-  out.kind = static_cast<sysmodel::SystemKind>(kind);
-  r.get(out.phases.lib_init_s);
-  r.get(out.phases.map_s);
-  r.get(out.phases.reduce_s);
-  r.get(out.phases.merge_s);
-  r.get(out.exec_s);
-  r.get(out.core_energy_j);
-  r.get(out.net_dynamic_j);
-  r.get(out.net_static_j);
-  get_network_eval(r, out.net);
-  for (sysmodel::PhaseResult& p : out.phase_results) {
-    get_phase_result(r, p);
-  }
-  std::uint8_t phase_resolved = 0;
-  r.get(phase_resolved);
-  out.phase_resolved = phase_resolved != 0;
-  r.get(out.resilience.core_failures);
-  r.get(out.resilience.tasks_reexecuted);
-  r.get(out.resilience.wasted_core_seconds);
-  r.get(out.resilience.noc_fault_events);
-  r.get(out.resilience.noc_route_rebuilds);
-  r.get(out.resilience.noc_retry_backoffs);
-  r.get(out.resilience.packets_lost);
-  r.get(out.resilience.flits_lost);
-  r.get(out.resilience.net_stall_seconds);
-  r.get(out.baseline_latency_cycles);
-  r.get(out.mem_scale);
-  std::uint8_t has_vfi = 0;
-  r.get(has_vfi);
-  out.has_vfi = has_vfi != 0;
-  return get_vfi_design(r, out.vfi);
+  T value;
+  r(value);
+  if (!r.done()) return false;
+  out = std::move(value);
+  return true;
 }
 
 }  // namespace
 
 std::string encode_network_eval(const sysmodel::NetworkEval& eval) {
-  ByteWriter w;
-  put_preamble(w, Kind::kNetworkEval);
-  put_network_eval(w, eval);
-  return w.take();
+  return encode(Kind::kNetworkEval, eval);
 }
 
 bool decode_network_eval(std::string_view bytes, sysmodel::NetworkEval& out) {
-  ByteReader r{bytes};
-  if (!get_preamble(r, Kind::kNetworkEval)) return false;
-  sysmodel::NetworkEval eval;
-  if (!get_network_eval(r, eval) || !r.done()) return false;
-  out = std::move(eval);
-  return true;
+  return decode(Kind::kNetworkEval, bytes, out);
 }
 
 std::string encode_vfi_design(const vfi::VfiDesign& design) {
-  ByteWriter w;
-  put_preamble(w, Kind::kVfiDesign);
-  put_vfi_design(w, design);
-  return w.take();
+  return encode(Kind::kVfiDesign, design);
 }
 
 bool decode_vfi_design(std::string_view bytes, vfi::VfiDesign& out) {
-  ByteReader r{bytes};
-  if (!get_preamble(r, Kind::kVfiDesign)) return false;
-  vfi::VfiDesign design;
-  if (!get_vfi_design(r, design) || !r.done()) return false;
-  out = std::move(design);
-  return true;
+  return decode(Kind::kVfiDesign, bytes, out);
 }
 
 std::string encode_system_report(const sysmodel::SystemReport& report) {
-  ByteWriter w;
-  put_preamble(w, Kind::kSystemReport);
-  put_system_report(w, report);
-  return w.take();
+  return encode(Kind::kSystemReport, report);
 }
 
 bool decode_system_report(std::string_view bytes,
                           sysmodel::SystemReport& out) {
-  ByteReader r{bytes};
-  if (!get_preamble(r, Kind::kSystemReport)) return false;
-  sysmodel::SystemReport report;
-  if (!get_system_report(r, report) || !r.done()) return false;
-  out = std::move(report);
-  return true;
+  return decode(Kind::kSystemReport, bytes, out);
 }
 
 std::string encode_system_comparison(const sysmodel::SystemComparison& cmp) {
-  ByteWriter w;
-  put_preamble(w, Kind::kSystemComparison);
-  put_system_report(w, cmp.nvfi_mesh);
-  put_system_report(w, cmp.vfi_mesh);
-  put_system_report(w, cmp.vfi_winoc);
-  return w.take();
+  return encode(Kind::kSystemComparison, cmp);
 }
 
 bool decode_system_comparison(std::string_view bytes,
                               sysmodel::SystemComparison& out) {
-  ByteReader r{bytes};
-  if (!get_preamble(r, Kind::kSystemComparison)) return false;
-  sysmodel::SystemComparison cmp;
-  if (!get_system_report(r, cmp.nvfi_mesh) ||
-      !get_system_report(r, cmp.vfi_mesh) ||
-      !get_system_report(r, cmp.vfi_winoc) || !r.done()) {
-    return false;
-  }
-  out = std::move(cmp);
-  return true;
+  return decode(Kind::kSystemComparison, bytes, out);
 }
 
 }  // namespace vfimr::store

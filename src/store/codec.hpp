@@ -18,9 +18,10 @@
 // internal Welford state, so a disk hit is indistinguishable from a fresh
 // run.
 //
-// Bump kCodecVersion whenever a serialized struct gains, loses or reorders
-// a field, and also whenever the code that computes a stored value may
-// produce different bits for the same key (e.g. a solver whose
+// The encodings are the field descriptions of store/schema.hpp, which the
+// cache keys share.  Bump kCodecVersion whenever a description gains, loses
+// or reorders a field, and also whenever the code that computes a stored
+// value may produce different bits for the same key (e.g. a solver whose
 // floating-point evaluation order changed); old stores then degrade to cold
 // caches automatically instead of serving results the current code would
 // not reproduce.

@@ -1,7 +1,6 @@
 #include "sysmodel/net_eval.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 #include <string_view>
 
@@ -10,33 +9,12 @@
 #include "noc/traffic.hpp"
 #include "store/codec.hpp"
 #include "store/eval_store.hpp"
+#include "store/schema.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vfimr::sysmodel {
 
 namespace {
-
-// ---- Cache-key serialization (shared by the evaluation memo below and the
-// per-platform analytical-model memo).  A key is the raw bytes of every
-// input that can steer the computation; equal keys therefore denote the
-// exact same result.  Exactness over compactness: no hashing, so no
-// collision can ever alias two different computations.
-
-template <typename T>
-void put(std::string& key, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const char* p = reinterpret_cast<const char*>(&v);
-  key.append(p, sizeof(T));
-}
-
-void put_matrix(std::string& key, const Matrix& m) {
-  put(key, m.rows());
-  put(key, m.cols());
-  if (!m.data().empty()) {
-    key.append(reinterpret_cast<const char*>(m.data().data()),
-               m.data().size() * sizeof(double));
-  }
-}
 
 void require_valid(const PlatformParams& params) {
   VFIMR_REQUIRE_MSG(params.network_clock_hz > 0.0,
@@ -154,24 +132,16 @@ NetworkEval evaluate_network_analytical(const BuiltPlatform& platform,
   cfg.fault_reroute_wireless_cost = sim_cfg.fault_reroute_wireless_cost;
 
   // The model is traffic-independent (routes + fault slices only), so it is
-  // memoized on the platform, keyed on the analytical-relevant config.  The
-  // phase evaluations of a run — and, with a shared PlatformCache, every
-  // sweep point over the same platform — reuse one construction, which is
-  // what keeps the analytical band's per-evaluation cost flat while the
-  // cycle-accurate band's grows with the injection window.
-  std::string model_key;
-  put(model_key, cfg.sim_cycles);
-  put(model_key, cfg.node_cluster.size());
-  for (const std::size_t c : cfg.node_cluster) put(model_key, c);
-  put(model_key, cfg.sync_penalty_cycles);
-  put(model_key, cfg.fault_reroute_wireless_cost);
-  put(model_key, cfg.faults.size());
-  for (const auto& f : cfg.faults.events()) {
-    put(model_key, static_cast<std::uint32_t>(f.kind));
-    put(model_key, f.id);
-    put(model_key, f.at_cycle);
-    put(model_key, f.until_cycle);
-  }
+  // memoized on the platform, keyed on the config fields set above (the
+  // rest are model constants).  The phase evaluations of a run — and, with
+  // a shared PlatformCache, every sweep point over the same platform —
+  // reuse one construction, which is what keeps the analytical band's
+  // per-evaluation cost flat while the cycle-accurate band's grows with the
+  // injection window.
+  store::ByteWriter key;
+  key(cfg.sim_cycles, cfg.node_cluster, cfg.sync_penalty_cycles,
+      cfg.fault_reroute_wireless_cost, cfg.faults);
+  std::string model_key = key.take();
   std::shared_ptr<const noc::AnalyticalNocModel> model =
       platform.analytical_models->find(model_key);
   if (model == nullptr) {
@@ -207,11 +177,15 @@ NetworkEval evaluate_network_banded(const BuiltPlatform& platform,
 
 namespace {
 
+/// Content-addressed key of one evaluation: the bytes of every input that
+/// can steer it (store/schema.hpp), so equal keys denote the exact same
+/// result.  Exactness over compactness: no hashing, so no collision can
+/// ever alias two different computations.
 std::string cache_key(const BuiltPlatform& platform,
                       const Matrix& node_traffic, std::uint32_t packet_flits,
                       const PlatformParams& params,
                       const power::NocPowerModel& noc_power) {
-  std::string key;
+  store::ByteWriter key;
   key.reserve(512 + node_traffic.data().size() * sizeof(double));
 
   // Fidelity band first: an analytical and a cycle-accurate evaluation of
@@ -219,80 +193,27 @@ std::string cache_key(const BuiltPlatform& platform,
   // memo entry.  kAuto and kAnalytical share the byte deliberately — they
   // are the same band (kAuto's cycle-accurate confirmations arrive as
   // separate kCycleAccurate requests).
-  put(key, static_cast<std::uint8_t>(analytical_band(params.fidelity)));
+  key(analytical_band(params.fidelity));
 
-  // System kind selects the routing algorithm (XY vs. up*/down*).
-  put(key, static_cast<std::uint32_t>(params.kind));
-  put(key, static_cast<std::uint8_t>(platform.has_vfi));
+  // The platform: system kind selects the routing algorithm (XY vs.
+  // up*/down*), and wire lengths feed the energy model.
+  key(store::as<std::uint32_t>(params.kind), platform.has_vfi,
+      platform.topology, platform.wireless);
 
-  // Topology: switch positions (wire lengths feed the energy model) and the
-  // full edge list.
-  const auto& topo = platform.topology;
-  put(key, topo.node_count());
-  for (const auto& pos : topo.positions) {
-    put(key, pos.x_mm);
-    put(key, pos.y_mm);
-  }
-  // Field-by-field: struct padding bytes are unspecified and must not leak
-  // into the key.
-  put(key, topo.graph.edge_count());
-  for (const auto& e : topo.graph.edges()) {
-    put(key, e.a);
-    put(key, e.b);
-    put(key, static_cast<std::uint32_t>(e.kind));
-    put(key, e.length_mm);
-  }
+  // Offered traffic, simulation window + latency correction.
+  key(node_traffic, packet_flits, params.traffic_seed, params.sim_cycles,
+      params.drain_cycles, params.router_pipeline_cycles, params.noc_sim);
 
-  // Wireless layout.
-  put(key, platform.wireless.channel_count);
-  put(key, platform.wireless.interfaces.size());
-  for (const auto& wi : platform.wireless.interfaces) {
-    put(key, wi.node);
-    put(key, wi.channel);
-  }
-
-  // Offered traffic.
-  put_matrix(key, node_traffic);
-  put(key, packet_flits);
-  put(key, params.traffic_seed);
-
-  // Simulation window + latency correction.
-  put(key, params.sim_cycles);
-  put(key, params.drain_cycles);
-  put(key, params.router_pipeline_cycles);
-
-  // NoC simulator configuration (telemetry fields excluded: the traced run
-  // is proven bit-identical to the untraced one).
-  const auto& sim = params.noc_sim;
-  put(key, sim.wire_buffer_depth);
-  put(key, sim.wi_buffer_depth);
-  put(key, sim.node_cluster.size());
-  for (std::size_t c : sim.node_cluster) put(key, c);
-  put(key, sim.sync_penalty_cycles);
-  put(key, static_cast<std::uint8_t>(sim.reference_stepping));
-  put(key, sim.fault_max_retries);
-  put(key, sim.fault_backoff_base_cycles);
-  put(key, sim.fault_reroute_wireless_cost);
-  put(key, sim.faults.size());
-  for (const auto& f : sim.faults.events()) {
-    put(key, static_cast<std::uint32_t>(f.kind));
-    put(key, f.id);
-    put(key, f.at_cycle);
-    put(key, f.until_cycle);
-  }
-
-  // Rate-based fault spec (expanded into a schedule inside the evaluation;
-  // only the NoC-relevant fields matter here).
-  put(key, params.faults.link_rate);
-  put(key, params.faults.router_rate);
-  put(key, params.faults.wi_rate);
-  put(key, params.faults.transient_fraction);
-  put(key, params.faults.mean_repair_cycles);
-  put(key, params.faults.seed);
+  // The rate-based fault spec, expanded into a schedule inside the
+  // evaluation.  Its task-side fields (core_fail_prob, loss_timeout_cycles)
+  // are priced by FullSystemSim, never by the NoC, so they stay out.
+  const faults::FaultSpec& f = params.faults;
+  key(f.link_rate, f.router_rate, f.wi_rate, f.transient_fraction,
+      f.mean_repair_cycles, f.seed);
 
   // Energy constants (scale energy_per_flit_j).
-  put(key, noc_power.params());
-  return key;
+  key(noc_power.params());
+  return key.take();
 }
 
 }  // namespace

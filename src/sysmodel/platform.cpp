@@ -3,6 +3,7 @@
 #include "common/require.hpp"
 #include "store/codec.hpp"
 #include "store/eval_store.hpp"
+#include "store/schema.hpp"
 #include "sysmodel/net_eval.hpp"
 #include "winoc/thread_mapping.hpp"
 
@@ -112,56 +113,27 @@ BuiltPlatform build_platform(const workload::AppProfile& profile,
 
 namespace {
 
-/// Raw-byte key serialization, mirroring net_eval's cache-key idiom:
+/// The bytes of every input that steers build_platform (store/schema.hpp):
 /// exactness over compactness, so no two different platform constructions
 /// can ever alias one entry.
-template <typename T>
-void put(std::string& key, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  key.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
 std::string platform_key(const workload::AppProfile& profile,
                          const PlatformParams& params,
                          const power::VfTable& table) {
-  std::string key;
+  store::ByteWriter key;
   key.reserve(256 + profile.traffic.data().size() * sizeof(double));
 
   // Workload content consumed by the design flow: traffic drives thread
   // mapping and WiNoC layout, utilization and masters drive the VFI design.
-  put(key, static_cast<std::uint32_t>(profile.app));
-  put(key, profile.threads);
-  put(key, profile.traffic.rows());
-  put(key, profile.traffic.cols());
-  key.append(reinterpret_cast<const char*>(profile.traffic.data().data()),
-             profile.traffic.data().size() * sizeof(double));
-  put(key, profile.utilization.size());
-  for (const double u : profile.utilization) put(key, u);
-  put(key, profile.master_threads.size());
-  for (const std::size_t m : profile.master_threads) put(key, m);
+  // The task model and per-phase traffic only matter once the platform
+  // runs, so they stay out.
+  key(store::as<std::uint32_t>(profile.app), profile.threads, profile.traffic,
+      profile.utilization, profile.master_threads);
 
-  // Design knobs.  Field-by-field: struct padding must not leak into keys.
-  put(key, static_cast<std::uint32_t>(params.kind));
-  put(key, static_cast<std::uint32_t>(params.placement));
-  put(key, params.smallworld.k_intra);
-  put(key, params.smallworld.k_inter);
-  put(key, params.smallworld.k_max);
-  put(key, params.smallworld.alpha);
-  put(key, params.smallworld.channels);
-  put(key, params.smallworld.wis_per_cluster);
-  put(key, params.smallworld.seed);
-  put(key, params.vfi.clusters);
-  put(key, params.vfi.select.util_target);
-  put(key, params.vfi.anneal.iterations);
-  put(key, params.vfi.anneal.t_initial);
-  put(key, params.vfi.anneal.t_final);
-  put(key, params.vfi.anneal.seed);
-  put(key, params.vfi.anneal.restarts);
-
-  // V/F ladder (feeds the VFI point selection).
-  put(key, table.size());
-  for (std::size_t i = 0; i < table.size(); ++i) put(key, table[i]);
-  return key;
+  // Design knobs and the V/F ladder (feeds the VFI point selection).
+  key(store::as<std::uint32_t>(params.kind),
+      store::as<std::uint32_t>(params.placement), params.smallworld,
+      params.vfi, table);
+  return key.take();
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 
 #include "common/parallel_for.hpp"
 #include "common/require.hpp"
-#include "store/bytes.hpp"
 #include "store/codec.hpp"
 #include "store/eval_store.hpp"
+#include "store/schema.hpp"
 #include "sysmodel/net_eval.hpp"
 
 namespace vfimr::sysmodel {
@@ -40,134 +40,14 @@ std::vector<SystemReport> run_batch(const FullSystemSim& sim,
   return out;
 }
 
-namespace {
-
-// Raw-byte key serialization, the same idiom as net_eval's cache_key and
-// PlatformCache's platform_key: exactness over compactness, field by field
-// so struct padding never leaks into a key.
-template <typename T>
-void put(std::string& key, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  key.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-void put_matrix(std::string& key, const Matrix& m) {
-  put(key, m.rows());
-  put(key, m.cols());
-  if (!m.data().empty()) {
-    key.append(reinterpret_cast<const char*>(m.data().data()),
-               m.data().size() * sizeof(double));
-  }
-}
-
-void put_task_set(std::string& key, const workload::TaskSet& t) {
-  put(key, t.count);
-  put(key, t.cycles_mean);
-  put(key, t.cycles_cv);
-  put(key, t.mem_seconds_mean);
-  put(key, t.mem_cv);
-}
-
-void put_serial_stage(std::string& key, const workload::SerialStage& s) {
-  put(key, s.cycles);
-  put(key, s.mem_seconds);
-}
-
-}  // namespace
-
 std::string comparison_point_key(const workload::AppProfile& profile,
                                  const FullSystemSim& sim,
                                  const PlatformParams& base_params) {
-  std::string key;
+  store::ByteWriter key;
   key.reserve(1024 + profile.traffic.data().size() * sizeof(double) * 2);
-
-  // Workload content: everything FullSystemSim::run reads off the profile.
-  put(key, static_cast<std::uint32_t>(profile.app));
-  put(key, profile.threads);
-  put(key, profile.utilization.size());
-  for (const double u : profile.utilization) put(key, u);
-  put_matrix(key, profile.traffic);
-  put(key, profile.packet_flits);
-  put(key, profile.master_threads.size());
-  for (const std::size_t m : profile.master_threads) put(key, m);
-  put(key, profile.net_sensitivity);
-  put(key, profile.iterations);
-  put_serial_stage(key, profile.phases.lib_init);
-  put_task_set(key, profile.phases.map);
-  put_task_set(key, profile.phases.reduce);
-  put_serial_stage(key, profile.phases.merge);
-  for (std::size_t p = 0; p < workload::kPhaseCount; ++p) {
-    put_matrix(key, profile.phase_traffic[p]);
-    put(key, profile.phase_weight[p]);
-  }
-
-  // Platform / run parameters — every value field; the service pointers and
-  // the telemetry label are excluded because attaching them is proven
-  // bit-identical to running without.
-  const PlatformParams& params = base_params;
-  put(key, static_cast<std::uint32_t>(params.kind));
-  put(key, static_cast<std::uint8_t>(params.use_vfi2));
-  put(key, static_cast<std::uint32_t>(params.placement));
-  put(key, params.smallworld.k_intra);
-  put(key, params.smallworld.k_inter);
-  put(key, params.smallworld.k_max);
-  put(key, params.smallworld.alpha);
-  put(key, params.smallworld.channels);
-  put(key, params.smallworld.wis_per_cluster);
-  put(key, params.smallworld.seed);
-  put(key, params.vfi.clusters);
-  put(key, params.vfi.select.util_target);
-  put(key, params.vfi.anneal.iterations);
-  put(key, params.vfi.anneal.t_initial);
-  put(key, params.vfi.anneal.t_final);
-  put(key, params.vfi.anneal.seed);
-  put(key, params.vfi.anneal.restarts);
-  put(key, params.network_clock_hz);
-  put(key, params.router_pipeline_cycles);
-  put(key, static_cast<std::uint32_t>(params.vfi_stealing));
-  put(key, static_cast<std::uint8_t>(params.fidelity));
-  put(key, params.sim_cycles);
-  put(key, params.drain_cycles);
-  put(key, params.traffic_seed);
-  put(key, params.phase_window_scale);
-
-  const auto& sim_cfg = params.noc_sim;
-  put(key, sim_cfg.wire_buffer_depth);
-  put(key, sim_cfg.wi_buffer_depth);
-  put(key, sim_cfg.node_cluster.size());
-  for (const std::size_t c : sim_cfg.node_cluster) put(key, c);
-  put(key, sim_cfg.sync_penalty_cycles);
-  put(key, static_cast<std::uint8_t>(sim_cfg.reference_stepping));
-  put(key, sim_cfg.fault_max_retries);
-  put(key, sim_cfg.fault_backoff_base_cycles);
-  put(key, sim_cfg.fault_reroute_wireless_cost);
-  put(key, sim_cfg.faults.size());
-  for (const auto& f : sim_cfg.faults.events()) {
-    put(key, static_cast<std::uint32_t>(f.kind));
-    put(key, f.id);
-    put(key, f.at_cycle);
-    put(key, f.until_cycle);
-  }
-
-  // Fault spec — all fields (core_fail_prob steers the task simulator, not
-  // just the NoC).
-  put(key, params.faults.link_rate);
-  put(key, params.faults.router_rate);
-  put(key, params.faults.wi_rate);
-  put(key, params.faults.core_fail_prob);
-  put(key, params.faults.transient_fraction);
-  put(key, params.faults.mean_repair_cycles);
-  put(key, params.faults.loss_timeout_cycles);
-  put(key, params.faults.seed);
-
-  // Simulator models: power constants and the V/F ladder.
-  put(key, sim.models().core.params());
-  put(key, sim.models().noc.params());
-  put(key, sim.vf_table().size());
-  for (std::size_t i = 0; i < sim.vf_table().size(); ++i) {
-    put(key, sim.vf_table()[i]);
-  }
-  return key;
+  key(profile, base_params, sim.models().core.params(),
+      sim.models().noc.params(), sim.vf_table());
+  return key.take();
 }
 
 IncrementalSweepResult incremental_sweep_comparisons(
@@ -209,14 +89,9 @@ IncrementalSweepResult incremental_sweep_comparisons(
     std::string bytes;
     if (st.get_meta(manifest_key, bytes)) {
       store::ByteReader r{bytes};
-      std::uint64_t count = 0;
-      r.get(count);
       std::vector<std::uint64_t> prior;
-      if (r.ok() && r.remaining() / sizeof(std::uint64_t) >= count) {
-        prior.resize(static_cast<std::size_t>(count));
-        for (std::uint64_t& h : prior) r.get(h);
-      }
-      if (r.ok() && r.done()) {
+      r(prior);
+      if (r.done()) {
         out.had_prior_manifest = true;
         std::sort(prior.begin(), prior.end());
         for (const std::uint64_t h : hashes) {
@@ -258,8 +133,7 @@ IncrementalSweepResult incremental_sweep_comparisons(
   // Record this sweep's composition: the point-key hash list, input order.
   if (!manifest_key.empty()) {
     store::ByteWriter w;
-    w.put(static_cast<std::uint64_t>(n));
-    for (const std::uint64_t h : hashes) w.put(h);
+    w(hashes);
     st.put_meta(manifest_key, w.bytes());
   }
   return out;
