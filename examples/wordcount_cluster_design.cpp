@@ -3,18 +3,20 @@
 // This example closes the loop the paper assumes: it executes the actual
 // threaded Word Count application (the Phoenix++-style runtime in
 // src/mapreduce), extracts the measured per-worker utilization vector and
-// the shuffle traffic matrix from the job profile, and feeds them into the
-// Eq. 1 clustering + V/F assignment flow.  With 64 host threads this is a
-// live version of the paper's GEM5 profiling step.
+// the shuffle traffic matrix from the job profile (workload/from_runtime),
+// and feeds them into the Eq. 1 clustering + V/F assignment flow.  With 64
+// host threads this is a live version of the paper's GEM5 profiling step.
 //
 // Run: ./build/examples/wordcount_cluster_design [words]
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 
 #include "common/table.hpp"
 #include "mapreduce/apps/wordcount.hpp"
 #include "vfi/vf_assign.hpp"
+#include "workload/from_runtime.hpp"
 
 using namespace vfimr;
 
@@ -36,24 +38,13 @@ int main(int argc, char** argv) {
             << fmt(prof.phases.reduce_s) << ", merge "
             << fmt(prof.phases.merge_s) << "\n\n";
 
-  // ---- Measured utilization: per-worker busy time / wall time.
-  const double wall =
-      prof.map_stats.wall_seconds + prof.reduce_stats.wall_seconds;
-  std::vector<double> utilization(cfg.scheduler.workers, 0.0);
-  for (std::size_t w = 0; w < cfg.scheduler.workers; ++w) {
-    const double busy =
-        prof.map_stats.busy_seconds[w] + prof.reduce_stats.busy_seconds[w];
-    utilization[w] = wall > 0.0 ? std::clamp(busy / wall, 0.01, 1.0) : 0.5;
-  }
-
-  // ---- Measured traffic: the shuffle matrix (map worker -> reduce
-  // partition = reduce worker under the default partitioning).
-  Matrix traffic{cfg.scheduler.workers, cfg.scheduler.workers};
-  for (std::size_t s = 0; s < prof.shuffle_pairs.rows(); ++s) {
-    for (std::size_t d = 0; d < prof.shuffle_pairs.cols(); ++d) {
-      if (s != d) traffic(s, d) = prof.shuffle_pairs(s, d);
-    }
-  }
+  // ---- Measured utilization (per-worker busy time / wall time) and
+  // traffic (the shuffle matrix, map worker -> reduce partition, scaled to a
+  // packets-per-cycle budget over a uniform floor).
+  const std::size_t workers = cfg.scheduler.workers;
+  const std::vector<double> utilization =
+      workload::utilization_from_profile(prof, workers);
+  const Matrix traffic = workload::traffic_from_profile(prof, workers);
 
   // ---- The Fig. 3 design flow on the measured data.
   const auto design = vfi::design_vfi(utilization, traffic, {0},
