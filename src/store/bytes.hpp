@@ -245,10 +245,13 @@ class ByteReader {
   bool ok_ = true;
 };
 
-/// CRC-32 (IEEE 802.3 polynomial, the zlib one) over a byte span.
-std::uint32_t crc32(const void* data, std::size_t n);
-inline std::uint32_t crc32(std::string_view s) {
-  return crc32(s.data(), s.size());
+/// CRC-32 (IEEE 802.3 polynomial, the zlib one) over a byte span,
+/// continuing from `crc`, the CRC of the bytes before it (0 for none):
+/// crc32(b, crc32(a)) == crc32(a + b), so a record's key and value are
+/// checked in place, without joining them.
+std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
+inline std::uint32_t crc32(std::string_view s, std::uint32_t crc = 0) {
+  return crc32(s.data(), s.size(), crc);
 }
 
 /// FNV-1a 64-bit content hash — the store's index hash over full keys.

@@ -8,11 +8,12 @@ namespace {
 
 // Kind tags distinguish the value encodings sharing one store (and one
 // codec version); a decoder asked to read the wrong kind fails cleanly.
+// Tag 2 was the bare VfiDesign record the platform layout replaced.
 enum class Kind : std::uint32_t {
   kNetworkEval = 1,
-  kVfiDesign = 2,
   kSystemReport = 3,
   kSystemComparison = 4,
+  kPlatformLayout = 5,
 };
 
 /// [codec version u32][kind tag u32], then `value` as store/schema.hpp
@@ -54,12 +55,13 @@ bool decode_network_eval(std::string_view bytes, sysmodel::NetworkEval& out) {
   return decode(Kind::kNetworkEval, bytes, out);
 }
 
-std::string encode_vfi_design(const vfi::VfiDesign& design) {
-  return encode(Kind::kVfiDesign, design);
+std::string encode_platform_layout(const sysmodel::PlatformLayout& layout) {
+  return encode(Kind::kPlatformLayout, layout);
 }
 
-bool decode_vfi_design(std::string_view bytes, vfi::VfiDesign& out) {
-  return decode(Kind::kVfiDesign, bytes, out);
+bool decode_platform_layout(std::string_view bytes,
+                            sysmodel::PlatformLayout& out) {
+  return decode(Kind::kPlatformLayout, bytes, out);
 }
 
 std::string encode_system_report(const sysmodel::SystemReport& report) {

@@ -204,6 +204,11 @@ void fields(V& v, S& d) {
   v(d.assignment, d.vfi1, d.vfi2, d.raised_clusters, d.clustering_cost);
 }
 
+template <typename V, Is<sysmodel::PlatformLayout> S>
+void fields(V& v, S& l) {
+  v(l.vfi, l.thread_to_node, l.edges, l.wireless);
+}
+
 template <typename V, Is<sysmodel::PhaseResult> S>
 void fields(V& v, S& p) {
   v(as<std::uint8_t>(p.phase), p.evaluated, p.net, p.baseline_latency_cycles,

@@ -54,61 +54,73 @@ bool parse_fidelity(const std::string& name, Fidelity& out) {
   return true;
 }
 
-BuiltPlatform build_platform(const workload::AppProfile& profile,
-                             const PlatformParams& params,
-                             const power::VfTable& table,
-                             const vfi::VfiDesign* precomputed) {
+PlatformLayout search_platform(const workload::AppProfile& profile,
+                               const PlatformParams& params,
+                               const power::VfTable& table) {
   VFIMR_REQUIRE_MSG(profile.threads == 64,
                     "platform construction targets the 8x8 die");
-  BuiltPlatform built;
+  PlatformLayout layout;
+  // VFI systems share the Fig. 3 design flow.
+  if (params.kind != SystemKind::kNvfiMesh) {
+    layout.vfi = vfi::design_vfi(profile.utilization, profile.traffic,
+                                 profile.master_threads, table, params.vfi);
+  }
+  if (params.kind == SystemKind::kVfiWinoc) {
+    winoc::WinocDesign design =
+        winoc::build_winoc(profile.traffic, layout.vfi.assignment,
+                           params.placement, params.smallworld);
+    layout.thread_to_node = std::move(design.thread_to_node);
+    layout.edges = design.topology.graph.edges();
+    layout.wireless = std::move(design.wireless);
+    return layout;
+  }
 
+  // Mesh systems: a locality-optimized thread mapping (SA within the VFI
+  // islands).  The NVFI baseline gets the same SA over quadrant blocks, so
+  // the NVFI-vs-VFI comparison isolates the VFI/interconnect effects rather
+  // than penalizing the baseline with a naive placement.
+  std::vector<std::size_t> blocks = layout.vfi.assignment;
   if (params.kind == SystemKind::kNvfiMesh) {
-    // Baseline: all cores at f_max on the mesh.  The baseline also gets a
-    // locality-optimized thread mapping (SA over quadrant blocks) so the
-    // NVFI-vs-VFI comparison isolates the VFI/interconnect effects rather
-    // than penalizing the baseline with a naive placement.
-    built.topology = noc::make_mesh(8, 8);
-    built.routing = std::make_unique<noc::XyRouting>(built.topology.graph, 8, 8);
-    std::vector<std::size_t> blocks(64);
+    blocks.resize(64);
     for (std::size_t t = 0; t < 64; ++t) blocks[t] = t / 16;
-    Rng rng{params.smallworld.seed};
-    built.thread_to_node =
-        winoc::map_threads_min_hop(profile.traffic, blocks, rng);
-    built.node_traffic =
-        winoc::map_traffic(profile.traffic, built.thread_to_node, 64);
-    return built;
   }
+  Rng rng{params.smallworld.seed};
+  layout.thread_to_node =
+      winoc::map_threads_min_hop(profile.traffic, blocks, rng);
+  layout.edges = noc::make_mesh(8, 8).graph.edges();
+  return layout;
+}
 
-  // VFI systems share the Fig. 3 design flow (skipped when the caller
-  // supplies a stored design — see the header contract).
-  built.has_vfi = true;
-  built.vfi = precomputed != nullptr
-                  ? *precomputed
-                  : vfi::design_vfi(profile.utilization, profile.traffic,
-                                    profile.master_threads, table, params.vfi);
-
-  if (params.kind == SystemKind::kVfiMesh) {
-    Rng rng{params.smallworld.seed};
-    built.topology = noc::make_mesh(8, 8);
-    built.routing = std::make_unique<noc::XyRouting>(built.topology.graph, 8, 8);
-    built.thread_to_node =
-        winoc::map_threads_min_hop(profile.traffic, built.vfi.assignment, rng);
-    built.node_traffic =
-        winoc::map_traffic(profile.traffic, built.thread_to_node, 64);
-    return built;
+BuiltPlatform assemble_platform(const workload::AppProfile& profile,
+                                const PlatformParams& params,
+                                PlatformLayout layout) {
+  BuiltPlatform built;
+  built.topology = noc::make_placed_grid(8, 8);
+  for (const graph::Edge& e : layout.edges) {
+    built.topology.graph.add_edge(e.a, e.b, e.kind, e.length_mm);
   }
-
-  // VFI WiNoC.
-  winoc::WinocDesign design = winoc::build_winoc(
-      profile.traffic, built.vfi.assignment, params.placement,
-      params.smallworld);
-  built.topology = std::move(design.topology);
-  built.wireless = std::move(design.wireless);
-  built.thread_to_node = std::move(design.thread_to_node);
-  built.node_traffic = std::move(design.node_traffic);
+  if (params.kind == SystemKind::kVfiWinoc) {
+    built.routing =
+        std::make_unique<noc::UpDownRouting>(built.topology.graph, 2.0);
+  } else {
+    built.routing =
+        std::make_unique<noc::XyRouting>(built.topology.graph, 8, 8);
+  }
+  built.wireless = std::move(layout.wireless);
   built.wi_count = built.wireless.interfaces.size();
-  built.routing = std::make_unique<noc::UpDownRouting>(built.topology.graph, 2.0);
+  built.thread_to_node = std::move(layout.thread_to_node);
+  built.node_traffic =
+      winoc::map_traffic(profile.traffic, built.thread_to_node, 64);
+  built.has_vfi = params.kind != SystemKind::kNvfiMesh;
+  built.vfi = std::move(layout.vfi);
   return built;
+}
+
+BuiltPlatform build_platform(const workload::AppProfile& profile,
+                             const PlatformParams& params,
+                             const power::VfTable& table) {
+  return assemble_platform(profile, params,
+                           search_platform(profile, params, table));
 }
 
 namespace {
@@ -151,38 +163,33 @@ std::shared_ptr<const BuiltPlatform> PlatformCache::get(
   }
 
   // Classify under the entry mutex, where the resolving tier is known
-  // (memory -> disk -> design flow); `misses()` keeps meaning "design flows
-  // actually run".  NVFI platforms skip the disk tier: their construction
-  // has no expensive design to save, and kind is in the key so they can
-  // never collide with a stored VFI design.
+  // (memory -> disk -> search); `misses()` keeps meaning "searches actually
+  // run".  Both tiers end in the same assembly, so a disk hit builds the
+  // platform the search would.
   std::lock_guard<std::mutex> lock{entry->mutex};
   if (entry->value != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     return entry->value;
   }
-  const bool use_store =
-      store_ != nullptr && params.kind != SystemKind::kNvfiMesh;
-  if (use_store) {
-    std::string bytes;
-    vfi::VfiDesign design;
-    if (store_->get(
-            store::domain_key(store::KeyDomain::kPlatformDesign, key),
-            bytes) &&
-        store::decode_vfi_design(bytes, design)) {
-      disk_hits_.fetch_add(1, std::memory_order_relaxed);
-      entry->value = std::make_shared<const BuiltPlatform>(
-          build_platform(profile, params, table, &design));
-      return entry->value;
+  PlatformLayout layout;
+  std::string bytes;
+  const std::string store_key =
+      store_ != nullptr
+          ? store::domain_key(store::KeyDomain::kPlatformDesign, key)
+          : std::string{};
+  if (store_ != nullptr && store_->get(store_key, bytes) &&
+      store::decode_platform_layout(bytes, layout)) {
+    disk_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    if (store_ != nullptr) disk_misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    layout = search_platform(profile, params, table);
+    if (store_ != nullptr) {
+      store_->put(store_key, store::encode_platform_layout(layout));
     }
-    disk_misses_.fetch_add(1, std::memory_order_relaxed);
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   entry->value = std::make_shared<const BuiltPlatform>(
-      build_platform(profile, params, table));
-  if (use_store) {
-    store_->put(store::domain_key(store::KeyDomain::kPlatformDesign, key),
-                store::encode_vfi_design(entry->value->vfi));
-  }
+      assemble_platform(profile, params, std::move(layout)));
   return entry->value;
 }
 

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
 #include <numeric>
 
 #include "cluster/arrivals.hpp"
@@ -15,6 +18,7 @@
 #include "cluster/service.hpp"
 #include "cluster/serving.hpp"
 #include "common/require.hpp"
+#include "store/eval_store.hpp"
 #include "sysmodel/net_eval.hpp"
 #include "sysmodel/system_sim.hpp"
 #include "workload/profile.hpp"
@@ -475,6 +479,82 @@ TEST_F(ClusterSimTest, EmptyPercentilesPrintNa) {
   EXPECT_TRUE(std::isnan(r.fleet.p99.value()));
   const std::string table = r.sla_table().to_string();
   EXPECT_NE(table.find("n/a"), std::string::npos);
+}
+
+// ------------------------------------------------- store-backed replay
+
+/// One ServiceMatrix evaluation of WC + HIST on the three system kinds,
+/// against the store under `root`, with the memo counters it ran up.
+struct MatrixPass {
+  ServiceMatrix matrix;
+  std::uint64_t searches = 0;     ///< platform searches run
+  std::uint64_t layout_hits = 0;  ///< platforms assembled from the store
+  std::uint64_t simulations = 0;  ///< NoC evaluations computed
+};
+
+MatrixPass evaluate_against_store(const std::string& root) {
+  store::EvalStore st{root};
+  sysmodel::NetworkEvaluator evaluator;
+  sysmodel::PlatformCache platforms;
+  evaluator.attach_store(&st);
+  platforms.attach_store(&st);
+  std::vector<PlatformTypeSpec> types;
+  for (const sysmodel::SystemKind kind :
+       {sysmodel::SystemKind::kVfiWinoc, sysmodel::SystemKind::kVfiMesh,
+        sysmodel::SystemKind::kNvfiMesh}) {
+    PlatformTypeSpec t;
+    t.label = sysmodel::system_name(kind);
+    t.params.kind = kind;
+    t.params.fidelity = sysmodel::Fidelity::kAnalytical;
+    t.params.sim_cycles = 4'000;
+    t.params.drain_cycles = 20'000;
+    t.params.net_eval = &evaluator;
+    t.params.platform_cache = &platforms;
+    types.push_back(t);
+  }
+  MatrixPass pass{ServiceMatrix::evaluate(
+      {workload::make_profile(workload::App::kWC),
+       workload::make_profile(workload::App::kHist)},
+      types, sysmodel::FullSystemSim{}, 1)};
+  pass.searches = platforms.misses();
+  pass.layout_hits = platforms.disk_hits();
+  pass.simulations = evaluator.stats().misses;
+  st.flush();
+  return pass;
+}
+
+TEST(ClusterStore, WarmMatrixReplayRunsNoSearchAndNoSimulation) {
+  namespace fs = std::filesystem;
+  const std::string root =
+      (fs::temp_directory_path() / "vfimr_cluster_store_test").string();
+  fs::remove_all(root);
+  const MatrixPass cold = evaluate_against_store(root);
+  const MatrixPass warm = evaluate_against_store(root);
+  fs::remove_all(root);
+
+  // Six distinct platforms (2 apps x 3 kinds, the NVFI references shared):
+  // searched once cold, all assembled from their stored layouts warm.
+  EXPECT_EQ(cold.searches, 6u);
+  EXPECT_GT(cold.simulations, 0u);
+  EXPECT_EQ(warm.searches, 0u);
+  EXPECT_EQ(warm.layout_hits, 6u);
+  EXPECT_EQ(warm.simulations, 0u);
+  ASSERT_EQ(warm.matrix.apps(), cold.matrix.apps());
+  ASSERT_EQ(warm.matrix.types(), cold.matrix.types());
+  for (std::size_t a = 0; a < cold.matrix.apps(); ++a) {
+    for (std::size_t t = 0; t < cold.matrix.types(); ++t) {
+      const cluster::ServicePoint& c = cold.matrix.at(a, t);
+      const cluster::ServicePoint& w = warm.matrix.at(a, t);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(w.exec_s),
+                std::bit_cast<std::uint64_t>(c.exec_s));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(w.energy_j),
+                std::bit_cast<std::uint64_t>(c.energy_j));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(w.power_w),
+                std::bit_cast<std::uint64_t>(c.power_w));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(w.edp_js),
+                std::bit_cast<std::uint64_t>(c.edp_js));
+    }
+  }
 }
 
 }  // namespace
