@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <iostream>
 #include <queue>
@@ -214,6 +215,8 @@ int main(int argc, char** argv) {
       static_cast<double>(evaluator.stats().hits);
   m["bench_cluster.matrix.cache_misses"] =
       static_cast<double>(evaluator.stats().misses);
+  m["bench_cluster.matrix.platform_searches"] =
+      static_cast<double>(platforms.misses());
   std::cout << "service matrix: " << matrix.apps() << " apps x "
             << matrix.types() << " platform types in " << matrix_s << " s ("
             << evaluator.stats().hits << " cache hits)\n";
@@ -345,6 +348,17 @@ int main(int argc, char** argv) {
   const double head_s = std::chrono::duration<double>(h1 - h0).count();
   const double jobs_per_sec =
       static_cast<double>(head.fleet.completed) / head_s;
+  // Completion order of every cell and the headline run, folded into the
+  // 53 bits a JSON number holds exactly: a replay from a warm store must
+  // reproduce it (tools/check_cluster_store.py).
+  std::uint64_t completions = 0xcbf29ce484222325ull;
+  auto fold = [&](const cluster::ClusterReport& r) {
+    completions = (completions ^ r.completion_digest) * 0x100000001b3ull;
+  };
+  for (const cluster::ClusterReport& r : reports) fold(r);
+  fold(head);
+  m["bench_cluster.completion_digest"] =
+      static_cast<double>(completions >> 11);
   m["bench_cluster.throughput.jobs"] =
       static_cast<double>(head.fleet.completed);
   m["bench_cluster.throughput.seconds"] = head_s;
