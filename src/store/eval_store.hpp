@@ -63,7 +63,7 @@ inline constexpr std::uint32_t kStoreFormatVersion = 1;
 /// already on disk alone, so records a newer codec rejects must not share a
 /// namespace with it, or they would block their own replacement and keep
 /// the store cold on every later run.
-inline constexpr std::uint32_t kCodecVersion = 3;
+inline constexpr std::uint32_t kCodecVersion = 4;
 
 struct StoreStats {
   std::uint64_t hits = 0;    ///< get() served (from fresh puts or segments)

@@ -6,6 +6,7 @@
 
 #include "common/require.hpp"
 #include "sysmodel/system_sim.hpp"
+#include "winoc/design.hpp"
 #include "workload/profile.hpp"
 
 namespace vfimr::sysmodel {
@@ -188,6 +189,34 @@ struct PaperShape {
     }
   }
 };
+
+TEST(FullSystem, Vfi1RunPricesTheInterconnectAtVfi1Voltages) {
+  // Routers and links sit in the islands at the same V/F points as their
+  // cores, so a VFI 1 run's NoC leakage scales with the VFI 1 V^2 factor.
+  // PCA's V/F reassignment raises an island, so VFI 1 and VFI 2 differ.
+  const FullSystemSim sim;
+  const auto profile = workload::make_profile(workload::App::kPCA);
+  const double v_max = sim.vf_table().max().voltage_v;
+  for (SystemKind kind : {SystemKind::kVfiMesh, SystemKind::kVfiWinoc}) {
+    PlatformParams params = fast_params(kind);
+    params.use_vfi2 = false;
+    const SystemReport report = sim.run(profile, params);
+    ASSERT_TRUE(report.has_vfi);
+    const BuiltPlatform built =
+        build_platform(profile, params, sim.vf_table());
+    const double v2_vfi1 = vfi_network_v2_factor(
+        built.node_traffic, winoc::quadrant_clusters(), report.vfi.vfi1, v_max);
+    const double v2_vfi2 = vfi_network_v2_factor(
+        built.node_traffic, winoc::quadrant_clusters(), report.vfi.vfi2, v_max);
+    ASSERT_NE(v2_vfi1, v2_vfi2);
+    EXPECT_EQ(report.net_static_j,
+              sim.models().noc.static_energy_j(profile.threads,
+                                               built.wi_count,
+                                               report.exec_s) *
+                  v2_vfi1)
+        << system_name(kind);
+  }
+}
 
 TEST(PaperShapes, HeadlineClaims) {
   const PaperShape s;
