@@ -36,11 +36,13 @@ struct SchedulerConfig {
   std::vector<double> rel_freq;
   /// Apply the Eq. 3 task cap to workers with rel_freq < 1.
   bool vfi_stealing_cap = false;
-  /// Non-null switches run() to the fault-tolerant mode: scheduled worker
-  /// deaths abandon + re-queue their picked task, survivors take over, and
-  /// tasks running longer than the plan's straggler threshold are
-  /// speculatively re-issued.  Task bodies must then tolerate duplicate
-  /// executions of the same task.  The plan must outlive the scheduler.
+  /// Worker fault plan (nullable; must outlive the scheduler).  A plan adds
+  /// two behaviours to run()'s one loop: scheduled worker deaths abandon
+  /// and re-queue their picked task for the survivors, and tasks running
+  /// longer than the plan's straggler threshold are speculatively
+  /// re-issued, so task bodies must tolerate duplicate executions of the
+  /// same task.  Null runs as a plan with no deaths and
+  /// straggler_multiple = 0: every task runs exactly once.
   const faults::WorkerFaultPlan* faults = nullptr;
   /// Telemetry sink (nullable, caller-owned; see src/telemetry/telemetry.hpp).
   /// Scheduler trace events use wall-clock µs since the run() call started;
@@ -55,7 +57,7 @@ struct SchedulerStats {
   std::vector<std::uint64_t> tasks_stolen;    ///< per worker (as thief)
   std::vector<double> busy_seconds;           ///< per worker, in task bodies
   double wall_seconds = 0.0;
-  // Fault-tolerant mode only (all zero otherwise):
+  // Set only by a fault plan (all zero without one):
   std::uint64_t workers_died = 0;      ///< scheduled deaths that fired
   std::uint64_t tasks_requeued = 0;    ///< abandoned by dying workers
   std::uint64_t tasks_speculated = 0;  ///< duplicate straggler re-issues
@@ -75,10 +77,6 @@ class TaskScheduler {
       const std::function<void(std::size_t task, std::size_t worker)>& body);
 
  private:
-  SchedulerStats run_resilient(
-      std::size_t num_tasks,
-      const std::function<void(std::size_t task, std::size_t worker)>& body);
-
   SchedulerConfig config_;
 };
 

@@ -120,12 +120,12 @@ struct PlatformParams {
   /// sweep point — for every evaluation.
   /// Null builds fresh each time; results are bit-identical either way.
   PlatformCache* platform_cache = nullptr;
-  /// Per-phase injection-window length as a fraction of `sim_cycles`, used
-  /// by the phase-resolved pipeline (profiles with per-phase traffic).  The
-  /// default halves the window: four phase evaluations at half the window
-  /// (minus the LibInit == Merge cache hit) cost ~1.5x one whole-run
-  /// evaluation instead of 4x.  Profiles without phase traffic always use
-  /// the full window.
+  /// Per-phase injection-window length as a fraction of `sim_cycles` for
+  /// profiles with per-phase traffic.  The default halves the window: four
+  /// phase evaluations at half the window (minus the LibInit == Merge cache
+  /// hit) cost ~1.5x one whole-run evaluation instead of 4x.  Profiles
+  /// without phase traffic evaluate all four phases under one matrix in the
+  /// full window (one simulation plus three NetworkEvaluator hits).
   double phase_window_scale = 0.5;
 };
 

@@ -7,10 +7,11 @@
 //  * The NoC is simulated cycle-accurately under the application's mapped
 //    traffic; its average packet latency, relative to the NVFI-mesh
 //    baseline, scales the network-sensitive share of every task's memory
-//    time (remote-L2 model).  Phase-resolved profiles (per-phase traffic
-//    matrices) get one evaluation, latency ratio and mem_scale per phase —
-//    the PhasePlan -> PhaseResult pipeline of DESIGN.md §11 — optionally
-//    memoized through a shared NetworkEvaluator.
+//    time (remote-L2 model).  Every run gets one evaluation, latency ratio
+//    and mem_scale per phase — the PhasePlan -> PhaseResult pipeline of
+//    DESIGN.md §11 — optionally memoized through a shared NetworkEvaluator.
+//    A profile without per-phase traffic matrices plans every phase under
+//    its whole-run matrix.
 //  * Map/Reduce phases run through the deterministic work-stealing task
 //    simulator (Eq. 3 cap active on VFI systems); LibInit and Merge are
 //    serial master-thread stages.
@@ -64,8 +65,10 @@ struct ResilienceStats {
 
 /// One step of the phase-resolved pipeline: the traffic a MapReduce phase
 /// offers to the NoC and its nominal share of the run.  Plans are built
-/// from AppProfile::phase_traffic at the start of FullSystemSim::run;
-/// zero-weight phases (e.g. LR's missing merge) are never simulated.
+/// from AppProfile::traffic_of at the start of FullSystemSim::run; a
+/// profile without phase traffic plans every phase under its whole-run
+/// matrix at weight 1/4.  Zero-weight phases (e.g. LR's missing merge) are
+/// never simulated.
 struct PhasePlan {
   workload::Phase phase = workload::Phase::kMap;
   double weight = 0.0;               ///< nominal time share of the run
@@ -100,14 +103,13 @@ struct SystemReport {
   double core_energy_j = 0.0;
   double net_dynamic_j = 0.0;
   double net_static_j = 0.0;
-  /// Whole-run network figures.  Phase-resolved runs report the
-  /// packet-weighted combination of the per-phase evaluations (metrics
-  /// counters are summed over the phase simulations).
+  /// Whole-run network figures: the packet-weighted combination of the
+  /// per-phase evaluations (metrics counters are summed over the phase
+  /// simulations).
   NetworkEval net;
-  /// Per-phase evaluations, latencies and mem_scales.  On a run without
-  /// phase traffic every entry mirrors the single whole-run evaluation.
+  /// Per-phase evaluations, latencies and mem_scales.
   std::array<PhaseResult, workload::kPhaseCount> phase_results{};
-  bool phase_resolved = false;  ///< true when the 4-phase pipeline ran
+  bool phase_resolved = false;  ///< true when the profile had phase traffic
   ResilienceStats resilience;
   double baseline_latency_cycles = 0.0;  ///< NVFI-mesh latency used as ref
   double mem_scale = 1.0;                ///< memory-time multiplier applied
@@ -140,7 +142,12 @@ class FullSystemSim {
   explicit FullSystemSim(Models models,
                          const power::VfTable& table = power::VfTable::standard());
 
-  /// Simulate `profile` on the platform described by `params`.
+  /// Simulate `profile` on the platform described by `params`, one NoC
+  /// evaluation per planned phase (see PhasePlan).  A profile without phase
+  /// traffic runs exactly as its uniform twin: the same profile with its
+  /// whole-run matrix in every phase slot, weight 1/4 each and
+  /// phase_window_scale = 1 — with a NetworkEvaluator, one simulation and
+  /// three memo hits.
   /// `baseline_latency_cycles`: the NVFI-mesh average packet latency for
   /// this application; pass 0 to use this run's own latency as the baseline
   /// (correct when params.kind == kNvfiMesh).  The scalar is applied to

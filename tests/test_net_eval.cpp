@@ -5,15 +5,15 @@
 //    for fault-injected specs — because the key serializes every input that
 //    can change the simulation outcome, so equal keys mean the same
 //    simulation.
-//  * The degenerate phase-resolved profile (all four phase matrices equal
-//    to the whole-run aggregate, phase_window_scale = 1) reproduces the
-//    legacy single-matrix coupling: identical per-phase latencies and
-//    mem_scales, and the same execution time.
+//  * A profile without phase traffic runs exactly as its uniform twin (all
+//    four phase matrices equal to the whole-run aggregate, weight 1/4 each,
+//    phase_window_scale = 1): the two reports encode to the same bytes.
 
 #include <gtest/gtest.h>
 
 #include <array>
 
+#include "store/codec.hpp"
 #include "sysmodel/net_eval.hpp"
 #include "sysmodel/system_sim.hpp"
 #include "workload/profile.hpp"
@@ -160,56 +160,50 @@ TEST(NetEval, CatalogProfilesHitOnLibInitMergeIdentity) {
       cmp.nvfi_mesh.phase_result(workload::Phase::kMerge).net);
 }
 
-TEST(NetEval, DegenerateUniformPhasesReproduceLegacyCoupling) {
+TEST(NetEval, ProfileWithoutPhaseTrafficRunsAsItsUniformTwin) {
   const auto base = workload::make_profile(workload::App::kHist);
   ASSERT_TRUE(base.phase_resolved());
 
-  // Legacy twin: no phase traffic -> the single whole-run evaluation path.
-  workload::AppProfile legacy = base;
-  legacy.phase_traffic = {};
-  legacy.phase_weight = {};
-  ASSERT_FALSE(legacy.phase_resolved());
+  // A profile without phase traffic...
+  workload::AppProfile whole_run = base;
+  whole_run.phase_traffic = {};
+  whole_run.phase_weight = {};
+  ASSERT_FALSE(whole_run.phase_resolved());
 
-  // Degenerate twin: four identical phase matrices, all equal to the
-  // aggregate.  With phase_window_scale = 1 every phase evaluation is the
-  // same simulation as the legacy whole-run evaluation.
-  workload::AppProfile degenerate = base;
+  // ...runs exactly as its uniform twin: the whole-run matrix in every
+  // phase slot, weight 1/4 each, evaluated in the full injection window.
+  workload::AppProfile twin = base;
   for (std::size_t p = 0; p < workload::kPhaseCount; ++p) {
-    degenerate.phase_traffic[p] = base.traffic;
-    degenerate.phase_weight[p] = 0.25;
+    twin.phase_traffic[p] = base.traffic;
+    twin.phase_weight[p] = 0.25;
   }
 
   const FullSystemSim sim;
-  for (SystemKind kind : {SystemKind::kNvfiMesh, SystemKind::kVfiWinoc}) {
-    PlatformParams params = small_params(kind);
-    params.phase_window_scale = 1.0;
-    // A fixed scalar baseline exercises the mem_scale != 1 coupling path in
-    // both pipelines identically.
-    const double baseline = 20.0;
-    const SystemReport legacy_report = sim.run(legacy, params, baseline);
-    const SystemReport deg_report = sim.run(degenerate, params, baseline);
-    ASSERT_FALSE(legacy_report.phase_resolved);
-    ASSERT_TRUE(deg_report.phase_resolved);
-
-    for (std::size_t p = 0; p < workload::kPhaseCount; ++p) {
-      const PhaseResult& pr = deg_report.phase_results[p];
-      ASSERT_TRUE(pr.evaluated);
-      EXPECT_EQ(pr.net.avg_latency_cycles,
-                legacy_report.net.avg_latency_cycles);
-      EXPECT_EQ(pr.net.energy_per_flit_j, legacy_report.net.energy_per_flit_j);
-      EXPECT_EQ(pr.mem_scale, legacy_report.mem_scale);
-      EXPECT_EQ(pr.baseline_latency_cycles,
-                legacy_report.baseline_latency_cycles);
+  for (const bool faulty : {false, true}) {
+    for (SystemKind kind : {SystemKind::kNvfiMesh, SystemKind::kVfiWinoc}) {
+      SCOPED_TRACE(system_name(kind) + (faulty ? " with faults" : ""));
+      PlatformParams params = small_params(kind);
+      if (faulty) {
+        params.faults.link_rate = 300.0;
+        params.faults.core_fail_prob = 0.2;
+        params.faults.seed = 41;
+      }
+      PlatformParams twin_params = params;
+      twin_params.phase_window_scale = 1.0;
+      // A fixed scalar baseline exercises the mem_scale != 1 coupling.
+      const double baseline = 20.0;
+      const SystemReport got = sim.run(whole_run, params, baseline);
+      SystemReport want = sim.run(twin, twin_params, baseline);
+      EXPECT_FALSE(got.phase_resolved);
+      EXPECT_TRUE(want.phase_resolved);
+      if (faulty) {
+        EXPECT_GT(got.resilience.noc_fault_events, 0u);
+        EXPECT_GT(got.resilience.core_failures, 0u);
+      }
+      want.phase_resolved = got.phase_resolved;
+      EXPECT_EQ(store::encode_system_report(got),
+                store::encode_system_report(want));
     }
-    // Whole-run aggregates are packet-/time-weighted means of four equal
-    // values; equal up to rounding of the weighted fold.
-    EXPECT_DOUBLE_EQ(deg_report.net.avg_latency_cycles,
-                     legacy_report.net.avg_latency_cycles);
-    EXPECT_DOUBLE_EQ(deg_report.mem_scale, legacy_report.mem_scale);
-    // Equal per-phase mem_scales drive the task simulator through identical
-    // draws, so the measured times agree exactly.
-    EXPECT_EQ(deg_report.exec_s, legacy_report.exec_s);
-    EXPECT_EQ(deg_report.core_energy_j, legacy_report.core_energy_j);
   }
 }
 
@@ -227,6 +221,16 @@ TEST(NetEval, DegenerateProfileIsOneSimulationPlusThreeHits) {
   (void)sim.run(degenerate, params, 20.0);
   EXPECT_EQ(evaluator.stats().misses, 1u);
   EXPECT_EQ(evaluator.stats().hits, 3u);
+
+  // A profile without phase traffic plans the same four equal phases.
+  workload::AppProfile whole_run = base;
+  whole_run.phase_traffic = {};
+  whole_run.phase_weight = {};
+  NetworkEvaluator whole_run_evaluator;
+  params.net_eval = &whole_run_evaluator;
+  (void)sim.run(whole_run, params, 20.0);
+  EXPECT_EQ(whole_run_evaluator.stats().misses, 1u);
+  EXPECT_EQ(whole_run_evaluator.stats().hits, 3u);
 }
 
 TEST(NetEval, FidelityBandIsPartOfTheCacheKey) {

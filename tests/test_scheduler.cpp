@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -32,11 +33,21 @@ TEST(StealingCap, InvalidInputs) {
   EXPECT_THROW(stealing_cap(10, 4, 1.5), RequirementError);
 }
 
+/// Without a fault plan nothing is re-issued, re-queued or killed.
+void expect_no_fault_activity(const SchedulerStats& stats) {
+  EXPECT_EQ(stats.tasks_speculated, 0u);
+  EXPECT_EQ(stats.workers_died, 0u);
+  EXPECT_EQ(stats.tasks_requeued, 0u);
+}
+
 TEST(TaskScheduler, ExecutesEveryTaskExactlyOnce) {
   TaskScheduler sched{SchedulerConfig{4, {}, false}};
   std::mutex mu;
   std::multiset<std::size_t> seen;
   const auto stats = sched.run(100, [&](std::size_t task, std::size_t) {
+    // Task 7 runs far past the 1 ms straggler floor; with no plan the idle
+    // workers must not re-issue it.
+    if (task == 7) std::this_thread::sleep_for(std::chrono::milliseconds(20));
     std::lock_guard lk{mu};
     seen.insert(task);
   });
@@ -47,6 +58,7 @@ TEST(TaskScheduler, ExecutesEveryTaskExactlyOnce) {
   std::uint64_t total = 0;
   for (auto n : stats.tasks_executed) total += n;
   EXPECT_EQ(total, 100u);
+  expect_no_fault_activity(stats);
 }
 
 TEST(TaskScheduler, ZeroTasks) {
@@ -96,6 +108,27 @@ TEST(TaskScheduler, HardCapRestrictsSlowWorkers) {
   std::uint64_t total = 0;
   for (auto n : stats.tasks_executed) total += n;
   EXPECT_EQ(total, 40u);  // fast workers pick up the slack
+  expect_no_fault_activity(stats);
+
+  // Every worker capped at 5: at least 20 tasks are left for the master's
+  // clean-up (attributed to worker 0), and a slow task among them must not
+  // be re-issued either.
+  cfg.rel_freq = {0.5, 0.5, 0.5, 0.5};
+  TaskScheduler all_capped{cfg};
+  std::vector<std::atomic<int>> runs(40);
+  const auto capped = all_capped.run(40, [&](std::size_t task, std::size_t) {
+    runs[task].fetch_add(1, std::memory_order_relaxed);
+    if (task == 39) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  for (std::size_t t = 0; t < runs.size(); ++t) {
+    EXPECT_EQ(runs[t].load(), 1) << t;
+  }
+  for (std::size_t w = 1; w < 4; ++w) EXPECT_LE(capped.tasks_executed[w], 5u);
+  EXPECT_GE(capped.tasks_executed[0], 25u);  // its own <= 5 plus the rest
+  total = 0;
+  for (auto n : capped.tasks_executed) total += n;
+  EXPECT_EQ(total, 40u);
+  expect_no_fault_activity(capped);
 }
 
 TEST(TaskScheduler, ConfigValidation) {
