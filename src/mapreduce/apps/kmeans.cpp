@@ -89,7 +89,6 @@ KmeansResult kmeans(const std::vector<std::vector<double>>& points,
                 best = c;
               }
             }
-            out.assignment[i] = best;
             auto& acc = local[best];
             if (acc.sum.empty()) acc.sum.resize(dims, 0.0);
             for (std::size_t d = 0; d < dims; ++d) acc.sum[d] += points[i][d];
@@ -116,9 +115,9 @@ KmeansResult kmeans(const std::vector<std::vector<double>>& points,
     if (max_shift < cfg.convergence_eps) break;
   }
 
-  // Final assignment sweep against the converged centroids (the per-point
-  // labels recorded during the last Map phase predate the last centroid
-  // update).
+  // Final assignment sweep against the converged centroids.  Map tasks
+  // record no labels: a task may run twice (a worker fault plan re-issues
+  // stragglers), so anything it writes outside its emissions would race.
   for (std::size_t i = 0; i < n; ++i) {
     std::uint32_t best = 0;
     double best_d = std::numeric_limits<double>::max();
