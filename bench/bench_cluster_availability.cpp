@@ -30,7 +30,6 @@
 #include "cluster/serving.hpp"
 #include "common/json_lite.hpp"
 #include "common/parallel_for.hpp"
-#include "sysmodel/net_eval.hpp"
 #include "workload/profile.hpp"
 
 using namespace vfimr;
@@ -116,16 +115,11 @@ int main(int argc, char** argv) {
     base.sim_cycles = 6'000;
     base.drain_cycles = 30'000;
   }
-  sysmodel::NetworkEvaluator evaluator;
-  sysmodel::PlatformCache platforms;
   // With --cache-dir / VFIMR_CACHE_DIR set, the ServiceMatrix warmup's
   // evaluations resolve through the persistent store: a warm cache serves
   // the whole service matrix from disk instead of re-simulating it.
-  evaluator.attach_store(cache.store());
-  platforms.attach_store(cache.store());
-  base.net_eval = &evaluator;
-  base.platform_cache = &platforms;
-  const sysmodel::FullSystemSim sim;
+  sysmodel::FullSystemSim sim;
+  sim.attach_store(cache.store());
 
   const std::vector<cluster::PlatformTypeSpec> types =
       make_fleet_types(16, base);

@@ -34,7 +34,6 @@
 #include "cluster/serving.hpp"
 #include "common/json_lite.hpp"
 #include "common/parallel_for.hpp"
-#include "sysmodel/net_eval.hpp"
 #include "workload/profile.hpp"
 
 using namespace vfimr;
@@ -179,16 +178,11 @@ int main(int argc, char** argv) {
     base.sim_cycles = 6'000;
     base.drain_cycles = 30'000;
   }
-  sysmodel::NetworkEvaluator evaluator;
-  sysmodel::PlatformCache platforms;
   // With --cache-dir / VFIMR_CACHE_DIR set, the ServiceMatrix warmup's
   // evaluations resolve through the persistent store: a warm cache serves
   // the whole service matrix from disk instead of re-simulating it.
-  evaluator.attach_store(cache.store());
-  platforms.attach_store(cache.store());
-  base.net_eval = &evaluator;
-  base.platform_cache = &platforms;
-  const sysmodel::FullSystemSim sim;
+  sysmodel::FullSystemSim sim;
+  sim.attach_store(cache.store());
 
   json::MetricMap m;
   m["bench_cluster.config.small"] = small ? 1.0 : 0.0;
@@ -200,7 +194,7 @@ int main(int argc, char** argv) {
 
   // ---- Service matrix: one batched evaluation per fleet composition
   // (types are shared across fleet sizes — counts differ, service points
-  // do not), through the shared NetworkEvaluator + PlatformCache.
+  // do not), through the sim's memo services.
   const std::vector<cluster::PlatformTypeSpec> types =
       make_fleet_types(16, base);
   const auto m0 = std::chrono::steady_clock::now();
@@ -212,14 +206,14 @@ int main(int argc, char** argv) {
   m["bench_cluster.matrix.pairs"] =
       static_cast<double>(matrix.apps() * matrix.types());
   m["bench_cluster.matrix.cache_hits"] =
-      static_cast<double>(evaluator.stats().hits);
+      static_cast<double>(sim.net_eval().stats().hits);
   m["bench_cluster.matrix.cache_misses"] =
-      static_cast<double>(evaluator.stats().misses);
+      static_cast<double>(sim.net_eval().stats().misses);
   m["bench_cluster.matrix.platform_searches"] =
-      static_cast<double>(platforms.misses());
+      static_cast<double>(sim.platform_cache().misses());
   std::cout << "service matrix: " << matrix.apps() << " apps x "
             << matrix.types() << " platform types in " << matrix_s << " s ("
-            << evaluator.stats().hits << " cache hits)\n";
+            << sim.net_eval().stats().hits << " cache hits)\n";
 
   // Deadline hints: mean service time of each app across the fleet.
   std::array<double, workload::kAllApps.size()> hints{};
@@ -373,24 +367,20 @@ int main(int argc, char** argv) {
             << " std::priority_queue ops/s on this host\n";
 
   // ---- Determinism: re-evaluate the matrix with 1 worker and with 8
-  // workers (fresh evaluator + platform cache each, nothing shared with
-  // the warm run above) and replay the headline cell; SLA percentiles,
-  // counters and the completion-order digest must be bit-identical.
+  // workers (a fresh sim each, nothing shared with the warm run above) and
+  // replay the headline cell; SLA percentiles, counters and the
+  // completion-order digest must be bit-identical.
   bool identical = true;
   {
     cluster::ClusterReport replays[2];
     for (int w = 0; w < 2; ++w) {
-      sysmodel::NetworkEvaluator fresh_eval;
-      sysmodel::PlatformCache fresh_platforms;
       sysmodel::PlatformParams fresh_base = base;
-      fresh_base.net_eval = &fresh_eval;
-      fresh_base.platform_cache = &fresh_platforms;
       fresh_base.telemetry = nullptr;
       cluster::FleetConfig fleet;
       fleet.types = make_fleet_types(16, fresh_base);
       fleet.policy = cluster::SchedulerPolicy::kLeastLoaded;
       const cluster::ServiceMatrix fresh = cluster::ServiceMatrix::evaluate(
-          profiles, fleet.types, sim, w == 0 ? 1 : 8);
+          profiles, fleet.types, sysmodel::FullSystemSim{}, w == 0 ? 1 : 8);
       replays[w] = cluster::ClusterSim::run(head_jobs, fleet, fresh);
     }
     identical = sla_identical(replays[0], replays[1]) &&
@@ -412,7 +402,7 @@ int main(int argc, char** argv) {
     const sysmodel::SystemReport nvfi = sim.run(profiles.front(), spot_base);
     const sysmodel::SystemReport confirmed =
         sim.run(profiles.front(), spot, sysmodel::phase_baselines(nvfi));
-    evaluator.note_promotion(telemetry.sink());
+    sim.net_eval().note_promotion(telemetry.sink());
     const double analytical_exec = matrix.at(row, 0).exec_s;
     const double rel_err =
         std::abs(analytical_exec - confirmed.exec_s) / confirmed.exec_s;

@@ -9,12 +9,11 @@
 //
 // The phase-resolved pipeline (DESIGN.md §11) measures one NoC latency and
 // mem_scale per phase; the second table exposes them per app and system
-// (results/fig7_phase_latency.csv).  All evaluations share one memoizing
-// NetworkEvaluator, so e.g. the LibInit == Merge traffic identity is
-// simulated once per system.
+// (results/fig7_phase_latency.csv).  All evaluations share the sim's
+// memoizing NetworkEvaluator, so e.g. the LibInit == Merge traffic identity
+// is simulated once per system.
 
 #include "bench/bench_util.hpp"
-#include "sysmodel/net_eval.hpp"
 #include "sysmodel/sweep.hpp"
 
 using namespace vfimr;
@@ -30,10 +29,8 @@ int main(int argc, char** argv) {
   for (workload::App app : workload::kAllApps) {
     profiles.push_back(workload::make_profile(app));
   }
-  sysmodel::NetworkEvaluator net_eval;
   sysmodel::PlatformParams params;
   params.telemetry = telemetry.sink();
-  params.net_eval = &net_eval;
   const auto comparisons = sysmodel::sweep_comparisons(profiles, sim, params);
 
   double max_winoc_gain_vs_mesh = 0.0;
@@ -75,7 +72,7 @@ int main(int argc, char** argv) {
               "Fig. 7 companion: per-phase NoC latency (cycles) and mem_scale");
   std::cout << "Largest WiNoC-over-mesh execution gain: " << max_gain_app
             << " (" << fmt_pct(max_winoc_gain_vs_mesh) << ")\n";
-  const auto stats = net_eval.stats();
+  const auto stats = sim.net_eval().stats();
   std::cout << "NetworkEvaluator: " << stats.misses << " simulated, "
             << stats.hits << " cache hits (hit rate "
             << fmt_pct(stats.hit_rate()) << ")\n";

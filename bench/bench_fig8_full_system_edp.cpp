@@ -6,15 +6,14 @@
 // at most 3.22% (checked in the exec column).
 //
 // The WiNoC per-phase NoC latencies measured by the phase-resolved pipeline
-// (DESIGN.md §11) are appended to each row; the whole sweep shares one
-// memoizing NetworkEvaluator.
+// (DESIGN.md §11) are appended to each row; the whole sweep shares the
+// sim's memoizing NetworkEvaluator.
 
 #include <chrono>
 
 #include "bench/bench_util.hpp"
 #include "common/json_lite.hpp"
 #include "common/stats.hpp"
-#include "sysmodel/net_eval.hpp"
 #include "sysmodel/sweep.hpp"
 
 using namespace vfimr;
@@ -102,16 +101,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const sysmodel::FullSystemSim sim;
+  sysmodel::FullSystemSim sim;
   TextTable t{{"App", "VFI Mesh EDP", "VFI WiNoC EDP", "WiNoC exec time",
                "Core E (norm)", "Net E (norm)", "WiNoC lat LibInit",
                "WiNoC lat Map", "WiNoC lat Reduce", "WiNoC lat Merge"}};
 
   std::vector<workload::AppProfile> profiles;
-  sysmodel::NetworkEvaluator net_eval;
   sysmodel::PlatformParams params;
   params.telemetry = telemetry.sink();
-  params.net_eval = &net_eval;
   params.fidelity = fidelity;
   if (fidelity != sysmodel::Fidelity::kCycleAccurate) {
     std::cout << "[network evaluations in the '"
@@ -133,15 +130,12 @@ int main(int argc, char** argv) {
   // stored points (from a prior run or another shard) are merged in, only
   // changed/new points are evaluated, and both the point results and the
   // underlying evaluator records are persisted for the next run.
-  sysmodel::PlatformCache platforms;
   sysmodel::IncrementalSweepResult inc;
   std::vector<sysmodel::SystemComparison> comparisons;
   std::vector<std::uint8_t> valid(profiles.size(), 1);
   const auto t0 = std::chrono::steady_clock::now();
   if (cache.store() != nullptr) {
-    net_eval.attach_store(cache.store());
-    platforms.attach_store(cache.store());
-    params.platform_cache = &platforms;
+    sim.attach_store(cache.store());
     sysmodel::IncrementalOptions opts;
     opts.store = cache.store();
     opts.sweep_name = std::string{"fig8"} + (small ? "-small" : "") + "-" +
@@ -204,7 +198,7 @@ int main(int argc, char** argv) {
               << "Maximum execution-time penalty: " << fmt_pct(max_penalty)
               << "  (paper: 3.22%)\n";
   }
-  const auto stats = net_eval.stats();
+  const auto stats = sim.net_eval().stats();
   std::cout << "NetworkEvaluator: " << stats.misses << " simulated, "
             << stats.hits << " cache hits (hit rate "
             << fmt_pct(stats.hit_rate()) << ")";
@@ -244,9 +238,9 @@ int main(int argc, char** argv) {
           static_cast<double>(ss.corrupt_records);
       m["fig8.store.stale_records"] = static_cast<double>(ss.stale_records);
       m["fig8.platform_cache.disk_hits"] =
-          static_cast<double>(platforms.disk_hits());
+          static_cast<double>(sim.platform_cache().disk_hits());
       m["fig8.platform_cache.disk_misses"] =
-          static_cast<double>(platforms.disk_misses());
+          static_cast<double>(sim.platform_cache().disk_misses());
     }
     json::save_file(store_out, m);
     std::cout << "wrote store stats to " << store_out << "\n";
@@ -254,24 +248,23 @@ int main(int argc, char** argv) {
 
   if (!bench_out.empty()) {
     // Reference sweep: the same sweep with phase traffic stripped.  Each
-    // profile then plans four equal phases in the full window, which its
-    // own fresh NetworkEvaluator turns into one whole-run simulation per
-    // system — the cost of the coupling before phase resolution — so
-    // phase_ms/reference_ms is the real cost multiplier of the per-phase
-    // matrices (budgeted at 2x in CI).
+    // profile then plans four equal phases in the full window, which the
+    // memo turns into one whole-run simulation per system — the cost of the
+    // coupling before phase resolution — so phase_ms/reference_ms is the
+    // real cost multiplier of the per-phase matrices (budgeted at 2x in
+    // CI).  A fresh sim, so it searches its platforms as the timed sweep
+    // above did instead of reusing them.
     std::vector<workload::AppProfile> stripped = profiles;
     for (auto& p : stripped) {
       p.phase_traffic = {};
       p.phase_weight = {};
     }
-    sysmodel::NetworkEvaluator reference_eval;
+    const sysmodel::FullSystemSim reference_sim;
     sysmodel::PlatformParams reference_params = params;
-    reference_params.net_eval = &reference_eval;
-    reference_params.platform_cache = nullptr;
     reference_params.telemetry = nullptr;  // time the untraced fast path
     const auto t1 = std::chrono::steady_clock::now();
     const auto reference_cmp =
-        sysmodel::sweep_comparisons(stripped, sim, reference_params);
+        sysmodel::sweep_comparisons(stripped, reference_sim, reference_params);
     const double reference_ms = ms_since(t1);
 
     std::vector<double> reference_savings;

@@ -22,11 +22,17 @@
 // saving plus a graceful-run fraction — a permanent fault can cut the
 // irregular WiNoC into components, and those (correctly catastrophic)
 // partition runs would swamp a plain mean.  Two determinism checks gate the
-// exit code and land in the metric JSON for CI:
-//   resilience.check.replay_identical     — same (spec, seed) twice is
-//                                           bit-identical end to end;
+// exit code and land in the metric JSON for CI; both compare encoded
+// reports byte for byte:
+//   resilience.check.replay_identical     — same (spec, seed) on a fresh
+//                                           sim is bit-identical end to end;
 //   resilience.check.zero_fault_identical — an all-zero-rate spec is
 //                                           bit-identical to no spec at all.
+//
+// The grid runs as two parallel batches on one sim (the NVFI baselines,
+// then every WiNoC run), so each app's platform is searched once and specs
+// with equal NoC inputs share their evaluations.  The output does not
+// depend on the thread count (VFIMR_THREADS).
 //
 // --small / --preset small shrinks the app set, the cycle window and the
 // rate grid for CI; OUT.json defaults to BENCH_resilience.json.
@@ -42,6 +48,8 @@
 #include "bench/bench_util.hpp"
 #include "common/json_lite.hpp"
 #include "common/stats.hpp"
+#include "store/codec.hpp"
+#include "sysmodel/sweep.hpp"
 
 using namespace vfimr;
 
@@ -80,15 +88,10 @@ faults::FaultSpec make_spec(const FaultKind& kind, double rate,
   return spec;
 }
 
+/// Byte for byte: every field the store encodes, not a hand-picked subset.
 bool reports_identical(const sysmodel::SystemReport& a,
                        const sysmodel::SystemReport& b) {
-  return a.exec_s == b.exec_s && a.core_energy_j == b.core_energy_j &&
-         a.net_dynamic_j == b.net_dynamic_j &&
-         a.net_static_j == b.net_static_j &&
-         a.net.avg_latency_cycles == b.net.avg_latency_cycles &&
-         a.resilience.packets_lost == b.resilience.packets_lost &&
-         a.resilience.core_failures == b.resilience.core_failures &&
-         a.resilience.tasks_reexecuted == b.resilience.tasks_reexecuted;
+  return store::encode_system_report(a) == store::encode_system_report(b);
 }
 
 }  // namespace
@@ -155,7 +158,61 @@ int main(int argc, char** argv) {
   TextTable t{{"App", "Fault type", "Rate", "EDP vs NVFI", "EDP saving",
                "Exec vs fault-free", "Pkts lost", "Cores died", "Re-exec"}};
 
+  // Fault-free NVFI baselines: the reference EDP and phase latencies.
+  std::vector<sysmodel::BatchRequest> nvfi_reqs(profiles.size());
+  for (std::size_t a = 0; a < profiles.size(); ++a) {
+    nvfi_reqs[a].profile = &profiles[a];
+    nvfi_reqs[a].params = params;
+    nvfi_reqs[a].params.kind = sysmodel::SystemKind::kNvfiMesh;
+  }
+  const auto nvfi = sysmodel::run_batch(sim, nvfi_reqs);
+
+  // Every VFI-WiNoC run, in the order the fold below reads them: per app
+  // the fault-free run (execution-time degradation is measured against it),
+  // the zero-rate spec, then kind x rate x replicate.  A single draw at
+  // these event counts (a handful per window) is dominated by *which* link
+  // or router happens to die, and the saving-vs-rate curve comes out
+  // non-monotonic, so each grid point averages a few independent draws;
+  // each replicate only reseeds the fault generators.
+  std::vector<sysmodel::BatchRequest> reqs;
+  std::vector<std::size_t> replayed;  // the most eventful point per app
+  for (std::size_t a = 0; a < profiles.size(); ++a) {
+    sysmodel::BatchRequest r;
+    r.profile = &profiles[a];
+    r.params = params;
+    r.params.kind = sysmodel::SystemKind::kVfiWinoc;
+    r.baselines = sysmodel::phase_baselines(nvfi[a]);
+    reqs.push_back(r);
+    // Every rate at zero: the fault machinery must stay fully dormant.
+    r.params.faults.seed = 0xBADD1Eull;  // seed alone must not matter
+    reqs.push_back(r);
+    for (const auto& kind : kKinds) {
+      for (const double rate : rates) {
+        for (int rep = 0; rep < kReplicates; ++rep) {
+          r.params.faults = make_spec(kind, rate, noc_scale);
+          r.params.faults.seed += static_cast<std::uint64_t>(rep) * 1000;
+          if (&kind == &kKinds[4] && rate == rates.back() && rep == 0) {
+            replayed.push_back(reqs.size());
+          }
+          reqs.push_back(r);
+        }
+      }
+    }
+  }
+  const auto runs = sysmodel::run_batch(sim, reqs);
+
+  // Replay determinism, spot-checked on a fresh sim: on `sim` the replay
+  // would be a memo hit of the run it checks.
+  std::vector<sysmodel::BatchRequest> replay_reqs;
+  for (const std::size_t i : replayed) replay_reqs.push_back(reqs[i]);
+  const sysmodel::FullSystemSim replay_sim;
+  const auto replays = sysmodel::run_batch(replay_sim, replay_reqs);
   bool replay_identical = true;
+  for (std::size_t k = 0; k < replayed.size(); ++k) {
+    replay_identical =
+        replay_identical && reports_identical(runs[replayed[k]], replays[k]);
+  }
+
   bool zero_fault_identical = true;
   // Per-rate savings across apps and fault kinds, for the headline "EDP
   // saving vs fault rate" curve.  The median is the headline statistic: a
@@ -167,43 +224,21 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> savings_at_rate(rates.size());
   std::vector<std::vector<double>> execs_at_rate(rates.size());
 
-  for (const auto& profile : profiles) {
-    // Fault-free reference: NVFI baseline EDP + latency, and the WiNoC's own
-    // fault-free report (execution-time degradation is measured against it).
-    sysmodel::PlatformParams base = params;
-    base.kind = sysmodel::SystemKind::kNvfiMesh;
-    const auto nvfi = sim.run(profile, base);
-    const double base_edp = nvfi.edp_js();
-    const auto base_latency = sysmodel::phase_baselines(nvfi);
-
-    sysmodel::PlatformParams winoc = params;
-    winoc.kind = sysmodel::SystemKind::kVfiWinoc;
-    const auto clean = sim.run(profile, winoc, base_latency);
-
-    // Zero-fault identity: a spec with every rate at zero must produce a
-    // bit-identical report (the fault machinery must stay fully dormant).
-    {
-      sysmodel::PlatformParams zero = winoc;
-      zero.faults = faults::FaultSpec{};
-      zero.faults.seed = 0xBADD1Eull;  // seed alone must not matter
-      const auto z = sim.run(profile, zero, base_latency);
-      zero_fault_identical = zero_fault_identical && reports_identical(z, clean);
-    }
+  std::size_t next = 0;
+  for (std::size_t a = 0; a < profiles.size(); ++a) {
+    const auto& profile = profiles[a];
+    const double base_edp = nvfi[a].edp_js();
+    const auto& clean = runs[next++];
+    zero_fault_identical =
+        zero_fault_identical && reports_identical(runs[next++], clean);
 
     for (const auto& kind : kKinds) {
       for (std::size_t r = 0; r < rates.size(); ++r) {
         const double rate = rates[r];
-        // Average over a few independent fault draws: a single draw at these
-        // event counts (a handful per window) is dominated by *which* link or
-        // router happens to die, and the saving-vs-rate curve comes out
-        // non-monotonic.  Each replicate only reseeds the fault generators.
         double edp_rel = 0.0, exec_rel = 0.0;
         std::uint64_t lost = 0, died = 0, reexec = 0, events = 0, rebuilds = 0;
         for (int rep = 0; rep < kReplicates; ++rep) {
-          sysmodel::PlatformParams faulty = winoc;
-          faulty.faults = make_spec(kind, rate, noc_scale);
-          faulty.faults.seed += static_cast<std::uint64_t>(rep) * 1000;
-          const auto run = sim.run(profile, faulty, base_latency);
+          const auto& run = runs[next++];
           edp_rel += run.edp_js() / base_edp / kReplicates;
           exec_rel += run.exec_s / clean.exec_s / kReplicates;
           lost += run.resilience.packets_lost;
@@ -211,13 +246,6 @@ int main(int argc, char** argv) {
           reexec += run.resilience.tasks_reexecuted;
           events += run.resilience.noc_fault_events;
           rebuilds += run.resilience.noc_route_rebuilds;
-
-          // Replay determinism, spot-checked on the most eventful grid point.
-          if (&kind == &kKinds[4] && r == rates.size() - 1 && rep == 0) {
-            const auto again = sim.run(profile, faulty, base_latency);
-            replay_identical =
-                replay_identical && reports_identical(run, again);
-          }
         }
         const double saving = 1.0 - edp_rel;
         savings_at_rate[r].push_back(saving);
@@ -271,6 +299,10 @@ int main(int argc, char** argv) {
             << (replay_identical ? "yes" : "NO — BUG") << "\n"
             << "zero-fault bit-identical: "
             << (zero_fault_identical ? "yes" : "NO — BUG") << "\n"
+            << "memo: " << sim.platform_cache().misses()
+            << " platform searches, " << sim.net_eval().stats().misses
+            << " NoC evaluations computed for " << nvfi.size() + runs.size()
+            << " runs\n"
             << "wrote " << out_path << " (" << m.size() << " metrics)\n";
   return (replay_identical && zero_fault_identical) ? 0 : 1;
 }

@@ -25,7 +25,6 @@
 #include "bench/bench_util.hpp"
 #include "common/json_lite.hpp"
 #include "common/parallel_for.hpp"
-#include "sysmodel/net_eval.hpp"
 #include "sysmodel/sweep.hpp"
 #include "workload/profile.hpp"
 
@@ -33,10 +32,12 @@ using namespace vfimr;
 
 namespace {
 
+/// Times one sweep on a fresh sim, so no timed sweep reuses another's
+/// platforms or evaluations.
 double time_sweep(const std::vector<workload::AppProfile>& profiles,
-                  const sysmodel::FullSystemSim& sim,
                   const sysmodel::PlatformParams& params, std::size_t threads,
                   std::vector<sysmodel::SystemComparison>& out) {
+  const sysmodel::FullSystemSim sim;
   const auto t0 = std::chrono::steady_clock::now();
   out = sysmodel::sweep_comparisons(profiles, sim, params, threads);
   const auto t1 = std::chrono::steady_clock::now();
@@ -83,8 +84,6 @@ int main(int argc, char** argv) {
       profiles.push_back(workload::make_profile(a));
     }
   }
-  const sysmodel::FullSystemSim sim;
-
   json::MetricMap m;
   m["bench_sweep.config.small"] = small ? 1.0 : 0.0;
   m["bench_sweep.config.apps"] = static_cast<double>(profiles.size());
@@ -100,7 +99,7 @@ int main(int argc, char** argv) {
   sysmodel::PlatformParams ref_params = params;
   ref_params.noc_sim.reference_stepping = true;
   std::vector<sysmodel::SystemComparison> ref_results;
-  const double ref_s = time_sweep(profiles, sim, ref_params, 1, ref_results);
+  const double ref_s = time_sweep(profiles, ref_params, 1, ref_results);
   m["bench_sweep.reference_1t.seconds"] = ref_s;
   std::cout << "reference stepping, 1 thread:  " << ref_s << " s\n";
 
@@ -109,7 +108,7 @@ int main(int argc, char** argv) {
   bool identical = true;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     std::vector<sysmodel::SystemComparison> results;
-    const double s = time_sweep(profiles, sim, params, threads, results);
+    const double s = time_sweep(profiles, params, threads, results);
     m["bench_sweep.fast_" + std::to_string(threads) + "t.seconds"] = s;
     std::cout << "fast stepping, " << threads << " thread(s):    " << s
               << " s  (" << ref_s / s << "x vs reference)\n";
@@ -134,10 +133,11 @@ int main(int argc, char** argv) {
   // (analytical exploration + cycle-accurate frontier confirmation) over a
   // Fig. 8-style fault-free design space: the three systems crossed with
   // the VFI-border synchronizer depth, a knob both bands model explicitly.
-  // Platform construction (the VFI design flow, ~25x one network
-  // evaluation) is fidelity-invariant, so both sweeps share one warm
-  // PlatformCache and the timed difference is what the ladder actually
-  // changes: the network evaluations.  Faulty-config accuracy is covered by
+  // Each sweep runs on its own sim, so its evaluator starts cold.  Platform
+  // construction (the VFI design flow, ~25x one network evaluation) is
+  // fidelity-invariant, so each sim's platforms are warmed untimed and the
+  // timed difference is what the ladder actually changes: the network
+  // evaluations.  Faulty-config accuracy is covered by
   // the xval suite's committed tolerance bands
   // (tests/test_fidelity_xval.cpp), not re-measured here.  The speedup is
   // what unlocks the ROADMAP's larger design spaces; the MAPE columns and
@@ -161,36 +161,32 @@ int main(int argc, char** argv) {
   }
   const workload::AppProfile& space_profile = profiles.front();
 
-  // Warm the shared platform cache (untimed): one VFI design flow per
-  // system kind, reused by every point of both sweeps.
-  sysmodel::PlatformCache platforms;
-  for (const auto& pt : space) {
-    platforms.get(space_profile, pt.params, sim.vf_table());
-  }
+  // Untimed: one platform search per system kind, reused by every point.
+  const auto warm_platforms = [&](const sysmodel::FullSystemSim& sim) {
+    for (const auto& pt : space) {
+      sim.platform_cache().get(space_profile, pt.params, sim.vf_table());
+    }
+  };
 
-  sysmodel::NetworkEvaluator cycle_evaluator;
+  const sysmodel::FullSystemSim cycle_sim;
+  warm_platforms(cycle_sim);
   std::vector<sysmodel::SweepPoint> cycle_space = space;
   for (auto& pt : cycle_space) {
     pt.params.fidelity = sysmodel::Fidelity::kCycleAccurate;
-    pt.params.net_eval = &cycle_evaluator;
-    pt.params.platform_cache = &platforms;
   }
   const auto c0 = std::chrono::steady_clock::now();
   const auto cycle_run = sysmodel::sweep_design_space(
-      space_profile, sim, cycle_space, 0, default_parallelism());
+      space_profile, cycle_sim, cycle_space, 0, default_parallelism());
   const auto c1 = std::chrono::steady_clock::now();
   const double cycle_s = std::chrono::duration<double>(c1 - c0).count();
 
-  sysmodel::NetworkEvaluator evaluator;
+  const sysmodel::FullSystemSim auto_sim;
+  warm_platforms(auto_sim);
   std::vector<sysmodel::SweepPoint> auto_space = space;
-  for (auto& pt : auto_space) {
-    pt.params.fidelity = sysmodel::Fidelity::kAuto;
-    pt.params.net_eval = &evaluator;
-    pt.params.platform_cache = &platforms;
-  }
+  for (auto& pt : auto_space) pt.params.fidelity = sysmodel::Fidelity::kAuto;
   const auto a0 = std::chrono::steady_clock::now();
   const auto auto_run = sysmodel::sweep_design_space(
-      space_profile, sim, auto_space, 1, default_parallelism());
+      space_profile, auto_sim, auto_space, 1, default_parallelism());
   const auto a1 = std::chrono::steady_clock::now();
   const double auto_s = std::chrono::duration<double>(a1 - a0).count();
 
@@ -214,7 +210,7 @@ int main(int argc, char** argv) {
       auto_run.points[auto_run.argmin_confirmed].promoted &&
       auto_run.points[auto_run.argmin_confirmed].confirmed.edp_js() ==
           cycle_run.points[cycle_run.argmin_explored].explored.edp_js();
-  const auto stats = evaluator.stats();
+  const auto stats = auto_sim.net_eval().stats();
   const bool counters_consistent =
       stats.analytical_hits + stats.cycle_hits == stats.hits &&
       stats.analytical_misses + stats.cycle_misses == stats.misses &&
@@ -265,43 +261,33 @@ int main(int argc, char** argv) {
   std::uint64_t warm_sim_misses = 0;
   {
     store::EvalStore st{store_root.string()};
-    sysmodel::NetworkEvaluator cold_eval;
-    cold_eval.attach_store(&st);
-    sysmodel::PlatformCache cold_platforms;
-    cold_platforms.attach_store(&st);
-    sysmodel::PlatformParams sp = params;
-    sp.net_eval = &cold_eval;
-    sp.platform_cache = &cold_platforms;
+    sysmodel::FullSystemSim cold_sim;
+    cold_sim.attach_store(&st);
     sysmodel::IncrementalOptions opts;
     opts.store = &st;
     opts.sweep_name = "bench-sweep";
     const auto s0 = std::chrono::steady_clock::now();
-    cold_run = sysmodel::incremental_sweep_comparisons(profiles, sim, sp,
-                                                       opts);
+    cold_run = sysmodel::incremental_sweep_comparisons(profiles, cold_sim,
+                                                       params, opts);
     cold_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            s0)
                  .count();
   }
   {
     store::EvalStore st{store_root.string()};
-    sysmodel::NetworkEvaluator warm_eval;
-    warm_eval.attach_store(&st);
-    sysmodel::PlatformCache warm_platforms;
-    warm_platforms.attach_store(&st);
-    sysmodel::PlatformParams sp = params;
-    sp.net_eval = &warm_eval;
-    sp.platform_cache = &warm_platforms;
+    sysmodel::FullSystemSim warm_sim;
+    warm_sim.attach_store(&st);
     sysmodel::IncrementalOptions opts;
     opts.store = &st;
     opts.sweep_name = "bench-sweep";
     const auto s0 = std::chrono::steady_clock::now();
-    warm_run = sysmodel::incremental_sweep_comparisons(profiles, sim, sp,
-                                                       opts);
+    warm_run = sysmodel::incremental_sweep_comparisons(profiles, warm_sim,
+                                                       params, opts);
     warm_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            s0)
                  .count();
     disk_hit_rate = st.stats().hit_rate();
-    warm_sim_misses = warm_eval.stats().misses;
+    warm_sim_misses = warm_sim.net_eval().stats().misses;
   }
   fs::remove_all(store_root, store_ec);
 

@@ -111,9 +111,9 @@ inline std::string cache_dir() {
 /// Uniform disk-tier hookup for the paper benches, the store twin of
 /// TelemetryScope: strips `--cache-dir[=]DIR` from argv and owns an
 /// EvalStore while the flag or VFIMR_CACHE_DIR selects a directory (the
-/// flag wins).  store() is nullptr when neither is set — benches attach it
-/// to NetworkEvaluator / PlatformCache unconditionally, and a null store
-/// keeps them purely in-memory.
+/// flag wins).  store() is nullptr when neither is set — benches pass it to
+/// FullSystemSim::attach_store unconditionally, and a null store keeps the
+/// sim's caches purely in-memory.
 class CacheDirScope {
  public:
   CacheDirScope(int& argc, char** argv) {

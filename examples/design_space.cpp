@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   sysmodel::PlatformParams base;
   base.kind = sysmodel::SystemKind::kNvfiMesh;
   const auto nvfi = sim.run(profile, base);
-  const double base_lat = nvfi.net.avg_latency_cycles;
+  const auto base_lat = sysmodel::phase_baselines(nvfi);
   const double base_edp = nvfi.edp_js();
   std::cout << "Design-space exploration for " << profile.name()
             << " (all numbers vs NVFI mesh)\n\n";

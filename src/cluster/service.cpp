@@ -29,7 +29,7 @@ ServiceMatrix ServiceMatrix::evaluate(
 
   // Stage 1: the NVFI-mesh reference of every pair.  The reference depends
   // on the type's window/fidelity knobs, not its system kind, so pairs that
-  // share type params dedupe inside an attached NetworkEvaluator.
+  // share type params dedupe inside the sim's NetworkEvaluator.
   std::vector<sysmodel::BatchRequest> baseline_reqs(pairs);
   for (std::size_t a = 0; a < profiles.size(); ++a) {
     for (std::size_t t = 0; t < types.size(); ++t) {

@@ -7,10 +7,10 @@
 // FullSystemSim run of that app's profile — deterministic, and therefore
 // evaluated once per (app, type) pair up front instead of once per arrival.
 // Evaluation goes through sysmodel::run_batch over parallel_for (one slot
-// per pair, bit-identical for any worker count); attaching a shared
-// NetworkEvaluator / PlatformCache to the type params makes the warmup the
-// Auto-fidelity "analytical band for steady-state" path of DESIGN.md §12,
-// and repeated NVFI baseline evaluations across types dedupe in the cache.
+// per pair, bit-identical for any worker count); with analytical-band type
+// params the warmup is the Auto-fidelity "analytical band for steady-state"
+// path of DESIGN.md §12, and repeated NVFI baseline evaluations across
+// types dedupe in the sim's memo services.
 
 #include <cstddef>
 #include <string>

@@ -224,6 +224,7 @@ NetworkEval NetworkEvaluator::evaluate(const BuiltPlatform& platform,
                                        const PlatformParams& params,
                                        const power::NocPowerModel& noc_power,
                                        const std::string& label) {
+  require_valid(params);  // before the lookup: the clock is not in the key
   const std::string key =
       cache_key(platform, node_traffic, packet_flits, params, noc_power);
   const bool analytical = analytical_band(params.fidelity);

@@ -105,20 +105,11 @@ struct PlatformParams {
   /// Process / metric prefix override; empty derives
   /// "<App> / <System>" (e.g. "Kmeans / VFI WiNoC").
   std::string telemetry_label;
-  /// Memoizing NoC-evaluation service (nullable, caller-owned, thread-safe;
-  /// see sysmodel/net_eval.hpp).  When set, FullSystemSim::run routes every
-  /// network evaluation through its content-keyed cache, so identical
-  /// evaluations across phases / systems / sweep entries are simulated
-  /// once.  Null evaluates fresh each time — bit-identical results either
-  /// way.
+  /// Memo-service overrides (nullable, caller-owned), kept for perfbench;
+  /// removal scheduled.  When set, FullSystemSim::run resolves through
+  /// these instead of the sim's own (FullSystemSim::caches); results are
+  /// bit-identical either way.
   NetworkEvaluator* net_eval = nullptr;
-  /// Memoizing platform-construction service (nullable, caller-owned,
-  /// thread-safe; see PlatformCache below).  When set, FullSystemSim::run
-  /// reuses one BuiltPlatform per distinct (profile, design knobs) instead
-  /// of re-running the platform search (design flow, thread mapping, WiNoC
-  /// layout) — by far the most expensive fidelity-invariant part of a
-  /// sweep point — for every evaluation.
-  /// Null builds fresh each time; results are bit-identical either way.
   PlatformCache* platform_cache = nullptr;
   /// Per-phase injection-window length as a fraction of `sim_cycles` for
   /// profiles with per-phase traffic.  The default halves the window: four
@@ -187,9 +178,9 @@ BuiltPlatform build_platform(const workload::AppProfile& profile,
                              const PlatformParams& params,
                              const power::VfTable& table);
 
-/// Memoizing, thread-safe platform-construction service for design-space
-/// sweeps.  Keys are the raw bytes of every input that steers
-/// build_platform: the profile's workload content plus the design knobs
+/// Memoizing, thread-safe platform-construction service; every
+/// FullSystemSim owns one.  Keys are the raw bytes of every input that
+/// steers build_platform: the profile's workload content plus the design knobs
 /// (system kind, placement, small-world and VFI parameters, V/F table).
 /// Fidelity, injection windows, traffic seeds and fault specs deliberately
 /// do NOT enter the key — platform design is invariant under them, which is

@@ -8,7 +8,6 @@
 #include "store/codec.hpp"
 #include "store/eval_store.hpp"
 #include "store/schema.hpp"
-#include "sysmodel/net_eval.hpp"
 
 namespace vfimr::sysmodel {
 
@@ -167,9 +166,7 @@ AutoComparison compare_systems_auto(const workload::AppProfile& profile,
   confirm.fidelity = Fidelity::kCycleAccurate;
   confirm.kind = SystemKind::kNvfiMesh;
   out.confirmed_baseline = sim.run(profile, confirm);
-  if (base_params.net_eval != nullptr) {
-    base_params.net_eval->note_promotion(base_params.telemetry);
-  }
+  sim.caches(base_params).net_eval.note_promotion(base_params.telemetry);
   if (out.frontier == SystemKind::kNvfiMesh) {
     out.confirmed = out.confirmed_baseline;
     return out;
@@ -177,9 +174,7 @@ AutoComparison compare_systems_auto(const workload::AppProfile& profile,
   const PhaseBaselines baseline = phase_baselines(out.confirmed_baseline);
   confirm.kind = out.frontier;
   out.confirmed = sim.run(profile, confirm, baseline);
-  if (base_params.net_eval != nullptr) {
-    base_params.net_eval->note_promotion(base_params.telemetry);
-  }
+  sim.caches(base_params).net_eval.note_promotion(base_params.telemetry);
   return out;
 }
 
@@ -263,11 +258,9 @@ DesignSpaceResult sweep_design_space(const workload::AppProfile& profile,
   });
   out.promotions = eligible.size();
   if (!eligible.empty()) {
-    NetworkEvaluator* evaluator = points.front().params.net_eval;
+    const PlatformParams& front = points.front().params;
     for (std::size_t k = 0; k < eligible.size(); ++k) {
-      if (evaluator != nullptr) {
-        evaluator->note_promotion(points.front().params.telemetry);
-      }
+      sim.caches(front).net_eval.note_promotion(front.telemetry);
     }
     out.argmin_confirmed = eligible.front();
     for (std::size_t i : eligible) {

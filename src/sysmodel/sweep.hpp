@@ -3,9 +3,10 @@
 // figure and table — and, since the multi-fidelity ladder (DESIGN.md §12),
 // the analytical-first design-space drivers.
 //
-// FullSystemSim::run is const and side-effect-free (each run owns its
-// platform, network and task-simulator state; the only shared static is the
-// VfTable::standard() singleton, whose initialization is thread-safe), so
+// FullSystemSim::run is const and thread-safe: each run owns its network
+// and task-simulator state, and shares only the sim's compute-once memo
+// services (whose hits are bit-identical to computing afresh) and the
+// VfTable::standard() singleton, whose initialization is thread-safe.  So
 // the sweeps are safe to parallelize at profile / design-point granularity.
 // Results are returned in input order regardless of scheduling, and every
 // run's randomness is seeded from its own PlatformParams (per-run seed
@@ -46,9 +47,8 @@ struct BatchRequest {
 /// heterogeneous-fleet warmup): results[i] = sim.run(*requests[i].profile,
 /// requests[i].params, requests[i].baselines), computed under parallel_for
 /// with one pre-sized slot per request, so the output is bit-identical for
-/// any `threads` (0 = default_parallelism()).  Attach a shared
-/// NetworkEvaluator / PlatformCache through the request params to dedupe
-/// repeated evaluations across slots.
+/// any `threads` (0 = default_parallelism()).  Repeated platforms and
+/// evaluations across slots dedupe in the sim's memo services.
 std::vector<SystemReport> run_batch(const FullSystemSim& sim,
                                     const std::vector<BatchRequest>& requests,
                                     std::size_t threads = 0);
@@ -116,7 +116,7 @@ IncrementalSweepResult incremental_sweep_comparisons(
 /// The Auto-mode three-system comparison: explore every system in the
 /// analytical band, pick the EDP frontier, then confirm it (and the NVFI
 /// baseline it is judged against) cycle-accurately.  Each confirmation is
-/// recorded as a promotion on base_params.net_eval when one is attached.
+/// recorded as a promotion on the evaluator the runs used.
 struct AutoComparison {
   /// Analytical-band exploration of all three systems (fidelity kAuto).
   SystemComparison explored;
@@ -161,7 +161,7 @@ struct DesignSpaceResult {
 /// the `promote_top` kAuto points with the lowest explored EDP to
 /// cycle-accurate confirmation runs.  Baselines (the NVFI-mesh reference
 /// latencies) are computed once per band from points[0]'s params.
-/// Promotions are recorded on the points' shared net_eval (when attached).
+/// Promotions are recorded on the evaluator the runs used.
 /// Deterministic for any `threads` (0 = default_parallelism()).
 DesignSpaceResult sweep_design_space(const workload::AppProfile& profile,
                                      const FullSystemSim& sim,

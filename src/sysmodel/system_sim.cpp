@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/require.hpp"
-#include "sysmodel/net_eval.hpp"
 #include "telemetry/telemetry.hpp"
 #include "winoc/thread_mapping.hpp"
 
@@ -95,14 +94,6 @@ PhaseBaselines phase_baselines(const SystemReport& nvfi_report) {
 
 SystemReport FullSystemSim::run(const workload::AppProfile& profile,
                                 const PlatformParams& params,
-                                double baseline_latency_cycles) const {
-  PhaseBaselines baselines;
-  baselines.latency_cycles.fill(baseline_latency_cycles);
-  return run(profile, params, baselines);
-}
-
-SystemReport FullSystemSim::run(const workload::AppProfile& profile,
-                                const PlatformParams& params,
                                 const PhaseBaselines& baselines) const {
   const std::size_t n = profile.threads;
   VFIMR_REQUIRE(profile.utilization.size() == n);
@@ -119,18 +110,13 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
   const std::string label =
       tele != nullptr ? telemetry_label(profile, params) : std::string{};
 
-  // ---- Interconnect: build the platform, then evaluate the NoC once per
-  // phase matrix (the PhasePlan -> PhaseResult pipeline).  Evaluations route
-  // through the shared memo cache when params.net_eval is set.
-  std::shared_ptr<const BuiltPlatform> cached_platform;
-  BuiltPlatform local_platform;
-  if (params.platform_cache != nullptr) {
-    cached_platform = params.platform_cache->get(profile, params, *table_);
-  } else {
-    local_platform = build_platform(profile, params, *table_);
-  }
-  const BuiltPlatform& built =
-      cached_platform != nullptr ? *cached_platform : local_platform;
+  // ---- Interconnect: resolve the platform, then evaluate the NoC once per
+  // phase matrix (the PhasePlan -> PhaseResult pipeline), both through the
+  // memo services.
+  const Caches memo = caches(params);
+  const std::shared_ptr<const BuiltPlatform> platform =
+      memo.platforms.get(profile, params, *table_);
+  const BuiltPlatform& built = *platform;
   report.has_vfi = built.has_vfi;
   if (built.has_vfi) report.vfi = built.vfi;
   report.phase_resolved = profile.phase_resolved();
@@ -156,9 +142,9 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
   }
 
   // Step 2: evaluate each planned phase in a scaled injection window.
-  // Phases with equal traffic are one NetworkEvaluator simulation: LibInit
-  // and Merge share a matrix by construction, and a profile without phase
-  // traffic shares one across all four.
+  // Phases with equal traffic are one simulation: LibInit and Merge share a
+  // matrix by construction, and a profile without phase traffic shares one
+  // across all four.
   const double window_scale =
       report.phase_resolved ? params.phase_window_scale : 1.0;
   PlatformParams phase_params = params;
@@ -175,14 +161,9 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
     if (tele != nullptr) {
       eval_label = label + " / " + workload::phase_name(plan.phase);
     }
-    pr.net = params.net_eval != nullptr
-                 ? params.net_eval->evaluate(built, plan.node_traffic,
-                                             profile.packet_flits,
-                                             phase_params, models_.noc,
-                                             eval_label)
-                 : evaluate_network_banded(built, plan.node_traffic,
-                                           profile.packet_flits, phase_params,
-                                           models_.noc, eval_label);
+    pr.net = memo.net_eval.evaluate(built, plan.node_traffic,
+                                    profile.packet_flits, phase_params,
+                                    models_.noc, eval_label);
     pr.evaluated = true;
 
     const double base = baselines.latency_cycles[p] > 0.0

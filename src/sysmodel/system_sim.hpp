@@ -9,9 +9,10 @@
 //    baseline, scales the network-sensitive share of every task's memory
 //    time (remote-L2 model).  Every run gets one evaluation, latency ratio
 //    and mem_scale per phase — the PhasePlan -> PhaseResult pipeline of
-//    DESIGN.md §11 — optionally memoized through a shared NetworkEvaluator.
-//    A profile without per-phase traffic matrices plans every phase under
-//    its whole-run matrix.
+//    DESIGN.md §11 — memoized in the sim's own NetworkEvaluator, as its
+//    platform is in the sim's own PlatformCache.  A profile without
+//    per-phase traffic matrices plans every phase under its whole-run
+//    matrix.
 //  * Map/Reduce phases run through the deterministic work-stealing task
 //    simulator (Eq. 3 cap active on VFI systems); LibInit and Merge are
 //    serial master-thread stages.
@@ -26,6 +27,7 @@
 #include "power/core_power.hpp"
 #include "power/noc_power.hpp"
 #include "power/vf_table.hpp"
+#include "sysmodel/net_eval.hpp"
 #include "sysmodel/platform.hpp"
 #include "sysmodel/task_sim.hpp"
 #include "workload/profile.hpp"
@@ -130,6 +132,10 @@ struct SystemReport {
 /// latencies measured by an NVFI-mesh report of the same profile.
 PhaseBaselines phase_baselines(const SystemReport& nvfi_report);
 
+/// The full-system simulator.  It owns the thread-safe, compute-once memo
+/// services every run resolves through; their keys are complete
+/// (tests/test_cache_keys.cpp), so a hit is bit-identical to computing
+/// afresh, and a second, independent computation needs a second sim.
 class FullSystemSim {
  public:
   struct Models {
@@ -146,21 +152,38 @@ class FullSystemSim {
   /// evaluation per planned phase (see PhasePlan).  A profile without phase
   /// traffic runs exactly as its uniform twin: the same profile with its
   /// whole-run matrix in every phase slot, weight 1/4 each and
-  /// phase_window_scale = 1 — with a NetworkEvaluator, one simulation and
-  /// three memo hits.
-  /// `baseline_latency_cycles`: the NVFI-mesh average packet latency for
-  /// this application; pass 0 to use this run's own latency as the baseline
-  /// (correct when params.kind == kNvfiMesh).  The scalar is applied to
-  /// every phase; prefer the PhaseBaselines overload for phase-resolved
-  /// profiles.
+  /// phase_window_scale = 1 — one simulation and three memo hits.
+  /// `baselines`: the per-phase NVFI-mesh latencies (see
+  /// phase_baselines()).  A zero entry — every entry by default — uses this
+  /// run's own latency, which is correct when params.kind == kNvfiMesh.
+  /// Memo hits emit no NoC trace events.
   SystemReport run(const workload::AppProfile& profile,
                    const PlatformParams& params,
-                   double baseline_latency_cycles = 0.0) const;
+                   const PhaseBaselines& baselines = {}) const;
 
-  /// Phase-resolved baselines (see phase_baselines()).
-  SystemReport run(const workload::AppProfile& profile,
-                   const PlatformParams& params,
-                   const PhaseBaselines& baselines) const;
+  /// The memo services a run under `params` resolves through: the sim's
+  /// own unless `params` sets the overrides.  The one place that choice is
+  /// made, for run() and the sweep drivers' promotion bookkeeping alike.
+  struct Caches {
+    NetworkEvaluator& net_eval;
+    PlatformCache& platforms;
+  };
+  Caches caches(const PlatformParams& params) const {
+    return {params.net_eval != nullptr ? *params.net_eval : net_eval_,
+            params.platform_cache != nullptr ? *params.platform_cache
+                                             : platforms_};
+  }
+
+  /// The sim's own memo services (counters, untimed warm-up).
+  NetworkEvaluator& net_eval() const { return net_eval_; }
+  PlatformCache& platform_cache() const { return platforms_; }
+
+  /// Attach (or detach, with nullptr) a disk tier to both caches, before
+  /// the first run; the store must outlive every run.
+  void attach_store(store::EvalStore* store) {
+    net_eval_.attach_store(store);
+    platforms_.attach_store(store);
+  }
 
   const power::VfTable& vf_table() const { return *table_; }
   const Models& models() const { return models_; }
@@ -168,6 +191,8 @@ class FullSystemSim {
  private:
   Models models_;
   const power::VfTable* table_;
+  mutable NetworkEvaluator net_eval_;
+  mutable PlatformCache platforms_;
 };
 
 /// Traffic-weighted average V^2 scaling of the interconnect under a VFI

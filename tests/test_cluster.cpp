@@ -19,7 +19,6 @@
 #include "cluster/serving.hpp"
 #include "common/require.hpp"
 #include "store/eval_store.hpp"
-#include "sysmodel/net_eval.hpp"
 #include "sysmodel/system_sim.hpp"
 #include "workload/profile.hpp"
 
@@ -135,9 +134,8 @@ TEST(ClusterArrivals, TraceReplaysVerbatim) {
 
 // ------------------------------------------------- shared sim fixture
 
-/// Two apps x two platform types, analytical band, tiny NoC windows; the
-/// shared NetworkEvaluator + PlatformCache keep repeated evaluations warm
-/// across tests in this file.
+/// Two apps x two platform types, analytical band, tiny NoC windows; one
+/// matrix, evaluated once, serves the tests in this file.
 class ClusterSimTest : public ::testing::Test {
  protected:
   static sysmodel::PlatformParams base_params() {
@@ -145,18 +143,7 @@ class ClusterSimTest : public ::testing::Test {
     p.fidelity = sysmodel::Fidelity::kAnalytical;
     p.sim_cycles = 4'000;
     p.drain_cycles = 20'000;
-    p.net_eval = &evaluator();
-    p.platform_cache = &platforms();
     return p;
-  }
-
-  static sysmodel::NetworkEvaluator& evaluator() {
-    static sysmodel::NetworkEvaluator e;
-    return e;
-  }
-  static sysmodel::PlatformCache& platforms() {
-    static sysmodel::PlatformCache c;
-    return c;
   }
 
   static std::vector<workload::AppProfile> profiles() {
@@ -230,9 +217,10 @@ TEST_F(ClusterSimTest, ServiceMatrixMatchesDirectRuns) {
 TEST_F(ClusterSimTest, MatrixIsThreadCountInvariant) {
   const auto profs = profiles();
   const auto types = fleet_types(2, 1);
-  const sysmodel::FullSystemSim sim;
-  const ServiceMatrix m1 = ServiceMatrix::evaluate(profs, types, sim, 1);
-  const ServiceMatrix m4 = ServiceMatrix::evaluate(profs, types, sim, 4);
+  const ServiceMatrix m1 =
+      ServiceMatrix::evaluate(profs, types, sysmodel::FullSystemSim{}, 1);
+  const ServiceMatrix m4 =
+      ServiceMatrix::evaluate(profs, types, sysmodel::FullSystemSim{}, 4);
   for (std::size_t a = 0; a < m1.apps(); ++a) {
     for (std::size_t t = 0; t < m1.types(); ++t) {
       EXPECT_EQ(m1.at(a, t).exec_s, m4.at(a, t).exec_s) << a << "," << t;
@@ -273,13 +261,7 @@ TEST_F(ClusterSimTest, RunIsDeterministicForAnyWorkerCount) {
   const auto arrivals = cluster::make_arrivals(arrival_config(0.9, 4'000));
   ClusterReport reports[2];
   for (int i = 0; i < 2; ++i) {
-    sysmodel::NetworkEvaluator fresh_eval;
-    sysmodel::PlatformCache fresh_cache;
-    auto types = fleet_types(2, 1);
-    for (auto& t : types) {
-      t.params.net_eval = &fresh_eval;
-      t.params.platform_cache = &fresh_cache;
-    }
+    const auto types = fleet_types(2, 1);
     const ServiceMatrix m = ServiceMatrix::evaluate(
         profs, types, sysmodel::FullSystemSim{}, i == 0 ? 1 : 8);
     FleetConfig fleet;
@@ -319,13 +301,7 @@ TEST_F(ClusterSimTest, RunIsDeterministicUnderFaultsForAnyWorkerCount) {
 
   ClusterReport reports[2];
   for (int i = 0; i < 2; ++i) {
-    sysmodel::NetworkEvaluator fresh_eval;
-    sysmodel::PlatformCache fresh_cache;
-    auto types = fleet_types(2, 1);
-    for (auto& t : types) {
-      t.params.net_eval = &fresh_eval;
-      t.params.platform_cache = &fresh_cache;
-    }
+    const auto types = fleet_types(2, 1);
     const ServiceMatrix m = ServiceMatrix::evaluate(
         profs, types, sysmodel::FullSystemSim{}, i == 0 ? 1 : 8);
     FleetConfig fleet;
@@ -494,10 +470,8 @@ struct MatrixPass {
 
 MatrixPass evaluate_against_store(const std::string& root) {
   store::EvalStore st{root};
-  sysmodel::NetworkEvaluator evaluator;
-  sysmodel::PlatformCache platforms;
-  evaluator.attach_store(&st);
-  platforms.attach_store(&st);
+  sysmodel::FullSystemSim sim;
+  sim.attach_store(&st);
   std::vector<PlatformTypeSpec> types;
   for (const sysmodel::SystemKind kind :
        {sysmodel::SystemKind::kVfiWinoc, sysmodel::SystemKind::kVfiMesh,
@@ -508,17 +482,15 @@ MatrixPass evaluate_against_store(const std::string& root) {
     t.params.fidelity = sysmodel::Fidelity::kAnalytical;
     t.params.sim_cycles = 4'000;
     t.params.drain_cycles = 20'000;
-    t.params.net_eval = &evaluator;
-    t.params.platform_cache = &platforms;
     types.push_back(t);
   }
   MatrixPass pass{ServiceMatrix::evaluate(
       {workload::make_profile(workload::App::kWC),
        workload::make_profile(workload::App::kHist)},
-      types, sysmodel::FullSystemSim{}, 1)};
-  pass.searches = platforms.misses();
-  pass.layout_hits = platforms.disk_hits();
-  pass.simulations = evaluator.stats().misses;
+      types, sim, 1)};
+  pass.searches = sim.platform_cache().misses();
+  pass.layout_hits = sim.platform_cache().disk_hits();
+  pass.simulations = sim.net_eval().stats().misses;
   st.flush();
   return pass;
 }

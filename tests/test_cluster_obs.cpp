@@ -19,7 +19,6 @@
 #include "cluster/serving.hpp"
 #include "common/require.hpp"
 #include "faults/faults.hpp"
-#include "sysmodel/net_eval.hpp"
 #include "sysmodel/system_sim.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/profile.hpp"
@@ -50,23 +49,12 @@ class ClusterObsTest : public ::testing::Test {
     p.fidelity = sysmodel::Fidelity::kAnalytical;
     p.sim_cycles = 4'000;
     p.drain_cycles = 20'000;
-    p.net_eval = &evaluator();
-    p.platform_cache = &platforms();
     p.kind = sysmodel::SystemKind::kVfiWinoc;
     PlatformTypeSpec t;
     t.label = "vfi-winoc";
     t.params = p;
     t.count = count;
     return {t};
-  }
-
-  static sysmodel::NetworkEvaluator& evaluator() {
-    static sysmodel::NetworkEvaluator e;
-    return e;
-  }
-  static sysmodel::PlatformCache& platforms() {
-    static sysmodel::PlatformCache c;
-    return c;
   }
 
   static const ServiceMatrix& matrix() {

@@ -95,6 +95,19 @@ TEST(ConfigValidation, SystemSimRejectsBadNetworkParams) {
   expect_requirement([&] { sim.run(profile, params); }, "sim_cycles");
 }
 
+TEST(ConfigValidation, SystemSimRejectsBadClockOnAWarmSim) {
+  // The clock is not part of the NoC memo key: on a warm sim every
+  // evaluation below is a hit, so the check must not sit behind them.
+  const auto profile = workload::make_profile(workload::App::kWC);
+  const sysmodel::FullSystemSim sim;
+  sysmodel::PlatformParams params;
+  params.sim_cycles = 2'000;
+  params.drain_cycles = 20'000;
+  (void)sim.run(profile, params);
+  params.network_clock_hz = 0.0;
+  expect_requirement([&] { sim.run(profile, params); }, "network_clock_hz");
+}
+
 TEST(ConfigValidation, FleetConfigRejectsStructurallyInvalidFleets) {
   auto valid = [] {
     cluster::FleetConfig f;

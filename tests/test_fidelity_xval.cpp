@@ -143,7 +143,10 @@ TEST(FidelityXval, LatencyAndEnergyWithinToleranceBands) {
 }
 
 TEST(FidelityXval, AutoReproducesCycleAccurateEdpFrontier) {
+  // Ground truth and Auto run on separate sims: on one sim the Auto
+  // confirmations would be memo hits of the ground-truth runs.
   const FullSystemSim sim;
+  const FullSystemSim auto_sim;
   for (workload::App app : workload::kAllApps) {
     const auto profile = workload::make_profile(app);
     SCOPED_TRACE(profile.name());
@@ -160,7 +163,8 @@ TEST(FidelityXval, AutoReproducesCycleAccurateEdpFrontier) {
       if (reports[i]->edp_js() < reports[best]->edp_js()) best = i;
     }
 
-    const AutoComparison autoc = compare_systems_auto(profile, sim, params);
+    const AutoComparison autoc =
+        compare_systems_auto(profile, auto_sim, params);
     std::printf("frontier %-8s cycle=%s auto=%s\n", profile.name().c_str(),
                 system_name(kinds[best]).c_str(),
                 system_name(autoc.frontier).c_str());
@@ -175,11 +179,9 @@ TEST(FidelityXval, AutoReproducesCycleAccurateEdpFrontier) {
 TEST(FidelityXval, PromotionsAreCountedOnTheSharedEvaluator) {
   const auto profile = workload::make_profile(workload::App::kHist);
   const FullSystemSim sim;
-  NetworkEvaluator evaluator;
-  PlatformParams params = xval_params(SystemKind::kNvfiMesh);
-  params.net_eval = &evaluator;
-  const AutoComparison autoc = compare_systems_auto(profile, sim, params);
-  const auto stats = evaluator.stats();
+  const AutoComparison autoc =
+      compare_systems_auto(profile, sim, xval_params(SystemKind::kNvfiMesh));
+  const auto stats = sim.net_eval().stats();
   // Exploration ran analytically, confirmation cycle-accurately — both
   // bands must show activity, and every promotion was recorded.
   EXPECT_GT(stats.analytical_misses, 0u);

@@ -130,14 +130,16 @@ TEST(ZeroFaultIdentity, SeededZeroRateSpecIsBitIdentical) {
   // leave every simulated quantity bit-identical: the fault machinery is
   // provably dormant in the runs the goldens guard, so the fault-injection
   // subsystem cannot move a golden without a nonzero rate.
+  // Each side on its own sim, so each computes its own platforms too.
   const auto profile = workload::make_profile(workload::App::kWC);
-  const sysmodel::FullSystemSim sim;
-  const auto clean = sysmodel::compare_systems(profile, sim);
+  const auto clean =
+      sysmodel::compare_systems(profile, sysmodel::FullSystemSim{});
 
   sysmodel::PlatformParams params;
   params.faults = faults::FaultSpec{};
   params.faults.seed = 0xBADD1Eull;  // the seed alone must not matter
-  const auto seeded = sysmodel::compare_systems(profile, sim, params);
+  const auto seeded =
+      sysmodel::compare_systems(profile, sysmodel::FullSystemSim{}, params);
 
   auto expect_same = [](const sysmodel::SystemReport& a,
                         const sysmodel::SystemReport& b) {

@@ -1,10 +1,13 @@
 // Property tests for the memoizing NetworkEvaluator and the phase-resolved
-// coupling pipeline (DESIGN.md §11).  The two contracts under test:
+// coupling pipeline (DESIGN.md §11).  The three contracts under test:
 //
 //  * A cached evaluation is bit-identical to a fresh one — for clean and
 //    for fault-injected specs — because the key serializes every input that
 //    can change the simulation outcome, so equal keys mean the same
 //    simulation.
+//  * A FullSystemSim memoizes every run by default: repeating a run on one
+//    sim searches and simulates nothing, and encodes to the same bytes as
+//    the run on a fresh sim.
 //  * A profile without phase traffic runs exactly as its uniform twin (all
 //    four phase matrices equal to the whole-run aggregate, weight 1/4 each,
 //    phase_window_scale = 1): the two reports encode to the same bytes.
@@ -27,6 +30,13 @@ PlatformParams small_params(SystemKind kind) {
   p.sim_cycles = 3'000;
   p.drain_cycles = 20'000;
   return p;
+}
+
+/// One reference latency for every phase.
+PhaseBaselines uniform_baselines(double latency_cycles) {
+  PhaseBaselines b;
+  b.latency_cycles.fill(latency_cycles);
+  return b;
 }
 
 void expect_identical(const NetworkEval& a, const NetworkEval& b) {
@@ -150,11 +160,9 @@ TEST(NetEval, CatalogProfilesHitOnLibInitMergeIdentity) {
   // that is at least three guaranteed hits.
   const auto profile = workload::make_profile(workload::App::kHist);
   const FullSystemSim sim;
-  NetworkEvaluator evaluator;
-  PlatformParams params = small_params(SystemKind::kNvfiMesh);
-  params.net_eval = &evaluator;
-  const SystemComparison cmp = compare_systems(profile, sim, params);
-  EXPECT_GE(evaluator.stats().hits, 3u);
+  const SystemComparison cmp =
+      compare_systems(profile, sim, small_params(SystemKind::kNvfiMesh));
+  EXPECT_GE(sim.net_eval().stats().hits, 3u);
   expect_identical(
       cmp.nvfi_mesh.phase_result(workload::Phase::kLibInit).net,
       cmp.nvfi_mesh.phase_result(workload::Phase::kMerge).net);
@@ -178,7 +186,6 @@ TEST(NetEval, ProfileWithoutPhaseTrafficRunsAsItsUniformTwin) {
     twin.phase_weight[p] = 0.25;
   }
 
-  const FullSystemSim sim;
   for (const bool faulty : {false, true}) {
     for (SystemKind kind : {SystemKind::kNvfiMesh, SystemKind::kVfiWinoc}) {
       SCOPED_TRACE(system_name(kind) + (faulty ? " with faults" : ""));
@@ -190,10 +197,12 @@ TEST(NetEval, ProfileWithoutPhaseTrafficRunsAsItsUniformTwin) {
       }
       PlatformParams twin_params = params;
       twin_params.phase_window_scale = 1.0;
-      // A fixed scalar baseline exercises the mem_scale != 1 coupling.
-      const double baseline = 20.0;
-      const SystemReport got = sim.run(whole_run, params, baseline);
-      SystemReport want = sim.run(twin, twin_params, baseline);
+      // A fixed baseline exercises the mem_scale != 1 coupling.  Each side
+      // runs on its own sim: the two share every memo key, so on one sim
+      // the twin would replay the first run's evaluations.
+      const PhaseBaselines baseline = uniform_baselines(20.0);
+      const SystemReport got = FullSystemSim{}.run(whole_run, params, baseline);
+      SystemReport want = FullSystemSim{}.run(twin, twin_params, baseline);
       EXPECT_FALSE(got.phase_resolved);
       EXPECT_TRUE(want.phase_resolved);
       if (faulty) {
@@ -214,23 +223,74 @@ TEST(NetEval, DegenerateProfileIsOneSimulationPlusThreeHits) {
     degenerate.phase_traffic[p] = base.traffic;
     degenerate.phase_weight[p] = 0.25;
   }
+  const PlatformParams params = small_params(SystemKind::kVfiWinoc);
   const FullSystemSim sim;
-  NetworkEvaluator evaluator;
-  PlatformParams params = small_params(SystemKind::kVfiWinoc);
-  params.net_eval = &evaluator;
-  (void)sim.run(degenerate, params, 20.0);
-  EXPECT_EQ(evaluator.stats().misses, 1u);
-  EXPECT_EQ(evaluator.stats().hits, 3u);
+  (void)sim.run(degenerate, params, uniform_baselines(20.0));
+  EXPECT_EQ(sim.net_eval().stats().misses, 1u);
+  EXPECT_EQ(sim.net_eval().stats().hits, 3u);
 
   // A profile without phase traffic plans the same four equal phases.
   workload::AppProfile whole_run = base;
   whole_run.phase_traffic = {};
   whole_run.phase_weight = {};
-  NetworkEvaluator whole_run_evaluator;
-  params.net_eval = &whole_run_evaluator;
-  (void)sim.run(whole_run, params, 20.0);
-  EXPECT_EQ(whole_run_evaluator.stats().misses, 1u);
-  EXPECT_EQ(whole_run_evaluator.stats().hits, 3u);
+  const FullSystemSim whole_run_sim;
+  (void)whole_run_sim.run(whole_run, params, uniform_baselines(20.0));
+  EXPECT_EQ(whole_run_sim.net_eval().stats().misses, 1u);
+  EXPECT_EQ(whole_run_sim.net_eval().stats().hits, 3u);
+}
+
+// ---- The default memo: every FullSystemSim caches its platforms and
+// evaluations, whether or not the caller wires anything up.
+
+TEST(DefaultMemo, SecondRunOnOneSimSearchesAndSimulatesNothing) {
+  const auto profile = workload::make_profile(workload::App::kHist);
+  for (const bool faulty : {false, true}) {
+    for (SystemKind kind : {SystemKind::kNvfiMesh, SystemKind::kVfiWinoc}) {
+      SCOPED_TRACE(system_name(kind) + (faulty ? " with faults" : ""));
+      PlatformParams params = small_params(kind);
+      if (faulty) {
+        params.faults.link_rate = 300.0;
+        params.faults.core_fail_prob = 0.2;
+        params.faults.seed = 41;
+      }
+      const FullSystemSim sim;
+      const SystemReport first = sim.run(profile, params);
+      const std::uint64_t searches = sim.platform_cache().misses();
+      const std::uint64_t simulations = sim.net_eval().stats().misses;
+      EXPECT_EQ(searches, 1u);
+      EXPECT_GT(simulations, 0u);
+      if (faulty) {
+        EXPECT_GT(first.resilience.noc_fault_events, 0u);
+        EXPECT_GT(first.resilience.core_failures, 0u);
+      }
+
+      const SystemReport again = sim.run(profile, params);
+      EXPECT_EQ(sim.platform_cache().misses(), searches);
+      EXPECT_EQ(sim.net_eval().stats().misses, simulations);
+      const std::string bytes = store::encode_system_report(again);
+      EXPECT_TRUE(bytes == store::encode_system_report(first));
+      EXPECT_TRUE(bytes ==
+                  store::encode_system_report(FullSystemSim{}.run(profile,
+                                                                  params)));
+    }
+  }
+}
+
+TEST(DefaultMemo, TrafficSeedSimulatesAgainOnTheSamePlatform) {
+  // The traffic seed steers the NoC, not the design search.
+  const auto profile = workload::make_profile(workload::App::kWC);
+  PlatformParams params = small_params(SystemKind::kVfiWinoc);
+  const FullSystemSim sim;
+  (void)sim.run(profile, params);
+  const std::uint64_t simulations = sim.net_eval().stats().misses;
+  params.traffic_seed += 1;
+  const SystemReport reseeded = sim.run(profile, params);
+  EXPECT_EQ(sim.platform_cache().misses(), 1u);
+  EXPECT_EQ(sim.platform_cache().hits(), 1u);
+  EXPECT_EQ(sim.net_eval().stats().misses, 2 * simulations);
+  EXPECT_TRUE(store::encode_system_report(reseeded) ==
+              store::encode_system_report(FullSystemSim{}.run(profile,
+                                                              params)));
 }
 
 TEST(NetEval, FidelityBandIsPartOfTheCacheKey) {

@@ -16,7 +16,6 @@
 #include "cluster/service.hpp"
 #include "cluster/serving.hpp"
 #include "faults/faults.hpp"
-#include "sysmodel/net_eval.hpp"
 #include "sysmodel/system_sim.hpp"
 #include "workload/profile.hpp"
 
@@ -31,14 +30,10 @@ using cluster::SchedulerPolicy;
 using cluster::ServiceMatrix;
 
 TEST(StressCluster, ConcurrentFaultyRunsShareOneMatrixAndPlan) {
-  sysmodel::NetworkEvaluator evaluator;
-  sysmodel::PlatformCache cache;
   sysmodel::PlatformParams params;
   params.fidelity = sysmodel::Fidelity::kAnalytical;
   params.sim_cycles = 4'000;
   params.drain_cycles = 20'000;
-  params.net_eval = &evaluator;
-  params.platform_cache = &cache;
 
   std::vector<PlatformTypeSpec> types;
   PlatformTypeSpec t;

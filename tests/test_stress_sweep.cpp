@@ -1,11 +1,13 @@
 // Tier-2 concurrency stress for the parallel experiment runner (ctest label:
 // tier2; meant for the TSan preset, also runs in tier-1 as smoke coverage).
 //
-// Two layers: parallel_for itself under heavy index churn, and an 8-thread
-// sweep_comparisons over reduced-cycle full-system simulations — the
+// Two layers: parallel_for itself under heavy index churn, and 8-thread
+// sweeps and batches over reduced-cycle full-system simulations — the
 // configuration that would expose any hidden shared state in
 // FullSystemSim::run (the sweep's safety argument says there is none beyond
-// the thread-safe VfTable singleton).
+// the sim's compute-once memo services and the thread-safe VfTable
+// singleton).  Every compared side runs on its own sim, so a comparison
+// never holds a memo hit against the entry it replays.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,7 @@
 #include <vector>
 
 #include "common/parallel_for.hpp"
-#include "sysmodel/net_eval.hpp"
+#include "store/codec.hpp"
 #include "sysmodel/sweep.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/profile.hpp"
@@ -42,13 +44,12 @@ TEST(StressSweep, EightThreadSweepIsRaceFreeAndRepeatable) {
       workload::make_profile(workload::App::kHist),
       workload::make_profile(workload::App::kLR),
       workload::make_profile(workload::App::kWC)};
-  const FullSystemSim sim;
   PlatformParams params;
   params.sim_cycles = 1'500;
   params.drain_cycles = 15'000;
 
-  const auto first = sweep_comparisons(profiles, sim, params, 8);
-  const auto second = sweep_comparisons(profiles, sim, params, 8);
+  const auto first = sweep_comparisons(profiles, FullSystemSim{}, params, 8);
+  const auto second = sweep_comparisons(profiles, FullSystemSim{}, params, 8);
   ASSERT_EQ(first.size(), profiles.size());
   ASSERT_EQ(second.size(), profiles.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
@@ -60,29 +61,24 @@ TEST(StressSweep, EightThreadSweepIsRaceFreeAndRepeatable) {
 }
 
 TEST(StressSweep, SharedNetworkEvaluatorUnderEightThreadSweep) {
-  // One memo cache shared by all sweep workers: concurrent misses on
+  // One sim's evaluator shared by all sweep workers: concurrent misses on
   // distinct keys simulate in parallel, a key being computed blocks its
   // second requester (compute-once), and the whole construction must be
-  // invisible in the results — identical to an uncached sweep and to a
-  // 2-thread sweep with its own cache, with deterministic hit/miss totals.
+  // invisible in the results — identical to a serial sweep and to a
+  // 2-thread sweep on their own sims, with deterministic hit/miss totals.
   const std::vector<workload::AppProfile> profiles = {
       workload::make_profile(workload::App::kHist),
       workload::make_profile(workload::App::kLR),
       workload::make_profile(workload::App::kWC)};
-  const FullSystemSim sim;
   PlatformParams params;
   params.sim_cycles = 1'500;
   params.drain_cycles = 15'000;
 
-  const auto fresh = sweep_comparisons(profiles, sim, params, 8);
-
-  NetworkEvaluator cache8;
-  params.net_eval = &cache8;
-  const auto cached8 = sweep_comparisons(profiles, sim, params, 8);
-
-  NetworkEvaluator cache2;
-  params.net_eval = &cache2;
-  const auto cached2 = sweep_comparisons(profiles, sim, params, 2);
+  const auto fresh = sweep_comparisons(profiles, FullSystemSim{}, params, 1);
+  const FullSystemSim sim8;
+  const auto cached8 = sweep_comparisons(profiles, sim8, params, 8);
+  const FullSystemSim sim2;
+  const auto cached2 = sweep_comparisons(profiles, sim2, params, 2);
 
   ASSERT_EQ(cached8.size(), profiles.size());
   for (std::size_t i = 0; i < profiles.size(); ++i) {
@@ -102,6 +98,8 @@ TEST(StressSweep, SharedNetworkEvaluatorUnderEightThreadSweep) {
   }
   // Hit/miss totals are scheduling-independent: the registry admits exactly
   // one inserter per distinct key regardless of thread interleaving.
+  const NetworkEvaluator& cache8 = sim8.net_eval();
+  const NetworkEvaluator& cache2 = sim2.net_eval();
   EXPECT_GT(cache8.stats().hits, 0u);
   EXPECT_EQ(cache8.stats().hits, cache2.stats().hits);
   EXPECT_EQ(cache8.stats().misses, cache2.stats().misses);
@@ -109,26 +107,25 @@ TEST(StressSweep, SharedNetworkEvaluatorUnderEightThreadSweep) {
 }
 
 TEST(StressSweep, SharedPlatformCacheUnderEightThreadSweep) {
-  // One PlatformCache shared by all sweep workers: the platform key covers
-  // workload content + design knobs only, so three profiles x three system
-  // kinds populate exactly nine entries, a second sweep over the same space
-  // is pure hits, and every cached run must be bit-identical to building
-  // platforms fresh.  Compute-once is the TSan target: concurrent requests
-  // for one key must block on the first builder, not duplicate the VFI
-  // design flow.
+  // One sim's PlatformCache shared by all sweep workers: the platform key
+  // covers workload content + design knobs only, so three profiles x three
+  // system kinds populate exactly nine entries, a second sweep over the
+  // same space is pure hits, and every cached run must be bit-identical to
+  // a sweep on a fresh sim.  Compute-once is the TSan target: concurrent
+  // requests for one key must block on the first builder, not duplicate
+  // the VFI design flow.
   const std::vector<workload::AppProfile> profiles = {
       workload::make_profile(workload::App::kHist),
       workload::make_profile(workload::App::kLR),
       workload::make_profile(workload::App::kWC)};
-  const FullSystemSim sim;
   PlatformParams params;
   params.sim_cycles = 1'500;
   params.drain_cycles = 15'000;
 
-  const auto fresh = sweep_comparisons(profiles, sim, params, 8);
+  const auto fresh = sweep_comparisons(profiles, FullSystemSim{}, params, 8);
 
-  PlatformCache cache;
-  params.platform_cache = &cache;
+  const FullSystemSim sim;
+  const PlatformCache& cache = sim.platform_cache();
   const auto cached = sweep_comparisons(profiles, sim, params, 8);
   const std::uint64_t first_pass_misses = cache.misses();
   const auto warm = sweep_comparisons(profiles, sim, params, 8);
@@ -158,6 +155,57 @@ TEST(StressSweep, SharedPlatformCacheUnderEightThreadSweep) {
   EXPECT_EQ(cache.hits(), 9u);  // warm pass: every run hits its platform
 }
 
+TEST(StressSweep, FaultyBatchWithRepeatedKeysOnOneSim) {
+  // The default memo under contention: eight workers on one sim, a faulty
+  // batch in which every request appears three times, so workers race to
+  // fill and read the same platform and evaluation entries.  The reports
+  // must encode to the bytes of a serial batch on a fresh sim, with equal
+  // memo counters (compute-once whatever the interleaving).
+  const std::vector<workload::AppProfile> profiles = {
+      workload::make_profile(workload::App::kHist),
+      workload::make_profile(workload::App::kWC)};
+  std::vector<BatchRequest> requests;
+  for (int copy = 0; copy < 3; ++copy) {
+    for (const auto& profile : profiles) {
+      for (SystemKind kind : {SystemKind::kNvfiMesh, SystemKind::kVfiWinoc}) {
+        for (const std::uint64_t seed : {5u, 6u}) {
+          BatchRequest r;
+          r.profile = &profile;
+          r.params.kind = kind;
+          r.params.sim_cycles = 1'500;
+          r.params.drain_cycles = 15'000;
+          r.params.faults.link_rate = 30.0;
+          r.params.faults.core_fail_prob = 0.05;
+          r.params.faults.seed = seed;
+          requests.push_back(r);
+        }
+      }
+    }
+  }
+
+  const FullSystemSim shared;
+  const auto parallel = run_batch(shared, requests, 8);
+  const FullSystemSim fresh;
+  const auto serial = run_batch(fresh, requests, 1);
+
+  ASSERT_EQ(parallel.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_TRUE(store::encode_system_report(parallel[i]) ==
+                store::encode_system_report(serial[i]))
+        << "request " << i;
+  }
+  const NetworkEvaluator::Stats a = shared.net_eval().stats();
+  const NetworkEvaluator::Stats b = fresh.net_eval().stats();
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(shared.net_eval().size(), fresh.net_eval().size());
+  // 2 profiles x 2 kinds, each searched once; every other request hits.
+  EXPECT_EQ(shared.platform_cache().misses(), 4u);
+  EXPECT_EQ(fresh.platform_cache().misses(), 4u);
+  EXPECT_EQ(shared.platform_cache().hits(), requests.size() - 4);
+  EXPECT_EQ(fresh.platform_cache().hits(), requests.size() - 4);
+}
+
 TEST(StressSweep, AutoFidelitySweepPromotionIsRaceFree) {
   // The multi-fidelity design-space driver under contention: 8 workers
   // explore kAuto points through ONE shared evaluator, then the driver
@@ -167,7 +215,6 @@ TEST(StressSweep, AutoFidelitySweepPromotionIsRaceFree) {
   // results, argmins and every per-band counter are independent of the
   // thread count, and that the band counters are internally consistent.
   const auto profile = workload::make_profile(workload::App::kHist);
-  const FullSystemSim sim;
   std::vector<SweepPoint> points;
   for (SystemKind kind : {SystemKind::kNvfiMesh, SystemKind::kVfiMesh,
                           SystemKind::kVfiWinoc}) {
@@ -182,15 +229,13 @@ TEST(StressSweep, AutoFidelitySweepPromotionIsRaceFree) {
     }
   }
 
-  NetworkEvaluator cache8;
-  for (auto& pt : points) pt.params.net_eval = &cache8;
-  const auto run8 = sweep_design_space(profile, sim, points, 2, 8);
-  const auto stats8 = cache8.stats();
+  const FullSystemSim sim8;
+  const auto run8 = sweep_design_space(profile, sim8, points, 2, 8);
+  const auto stats8 = sim8.net_eval().stats();
 
-  NetworkEvaluator cache2;
-  for (auto& pt : points) pt.params.net_eval = &cache2;
-  const auto run2 = sweep_design_space(profile, sim, points, 2, 2);
-  const auto stats2 = cache2.stats();
+  const FullSystemSim sim2;
+  const auto run2 = sweep_design_space(profile, sim2, points, 2, 2);
+  const auto stats2 = sim2.net_eval().stats();
 
   ASSERT_EQ(run8.points.size(), points.size());
   EXPECT_EQ(run8.argmin_explored, run2.argmin_explored);
@@ -230,7 +275,6 @@ TEST(StressSweep, SharedTelemetrySinkUnderEightThreadSweep) {
       workload::make_profile(workload::App::kHist),
       workload::make_profile(workload::App::kLR),
       workload::make_profile(workload::App::kWC)};
-  const FullSystemSim sim;
   PlatformParams params;
   params.sim_cycles = 1'500;
   params.drain_cycles = 15'000;
@@ -239,11 +283,11 @@ TEST(StressSweep, SharedTelemetrySinkUnderEightThreadSweep) {
 
   telemetry::TelemetrySink sink_a;
   params.telemetry = &sink_a;
-  const auto first = sweep_comparisons(profiles, sim, params, 8);
+  const auto first = sweep_comparisons(profiles, FullSystemSim{}, params, 8);
 
   telemetry::TelemetrySink sink_b;
   params.telemetry = &sink_b;
-  const auto second = sweep_comparisons(profiles, sim, params, 8);
+  const auto second = sweep_comparisons(profiles, FullSystemSim{}, params, 8);
 
   ASSERT_EQ(first.size(), profiles.size());
   for (std::size_t i = 0; i < first.size(); ++i) {

@@ -96,15 +96,16 @@ TEST(Sweep, MatchesSerialCompareSystemsLoop) {
   const std::vector<workload::AppProfile> profiles = {
       workload::make_profile(workload::App::kHist),
       workload::make_profile(workload::App::kWC)};
-  const FullSystemSim sim;
   const PlatformParams params = quick_params();
 
+  // Two sims, so the sweep computes rather than replaying the loop's memo.
+  const FullSystemSim sim;
   std::vector<SystemComparison> serial;
   for (const auto& p : profiles) {
     serial.push_back(compare_systems(p, sim, params));
   }
-  expect_comparisons_equal(sweep_comparisons(profiles, sim, params, 4),
-                           serial);
+  expect_comparisons_equal(
+      sweep_comparisons(profiles, FullSystemSim{}, params, 4), serial);
 }
 
 TEST(Sweep, ResultsIndependentOfThreadCount) {
@@ -112,11 +113,11 @@ TEST(Sweep, ResultsIndependentOfThreadCount) {
       workload::make_profile(workload::App::kHist),
       workload::make_profile(workload::App::kKmeans),
       workload::make_profile(workload::App::kLR)};
-  const FullSystemSim sim;
   const PlatformParams params = quick_params();
 
-  const auto one = sweep_comparisons(profiles, sim, params, 1);
-  expect_comparisons_equal(sweep_comparisons(profiles, sim, params, 8), one);
+  const auto one = sweep_comparisons(profiles, FullSystemSim{}, params, 1);
+  expect_comparisons_equal(
+      sweep_comparisons(profiles, FullSystemSim{}, params, 8), one);
 }
 
 }  // namespace

@@ -20,6 +20,13 @@ PlatformParams fast_params(SystemKind kind) {
   return p;
 }
 
+/// One reference latency for every phase.
+PhaseBaselines uniform_baselines(double latency_cycles) {
+  PhaseBaselines b;
+  b.latency_cycles.fill(latency_cycles);
+  return b;
+}
+
 TEST(VfiNetworkV2Factor, WeightsTrafficByIslandVoltages) {
   // Two nodes in different islands at 0.8 V and 1.0 V, v_nom = 1.0 V.  One
   // unit of traffic each way -> every packet averages the two islands' V^2.
@@ -154,10 +161,11 @@ TEST(FullSystem, IterativeAppsRunTwice) {
 }
 
 TEST(FullSystem, DeterministicReports) {
+  // Two sims, two computations: on one sim the second run is a memo hit.
   const auto profile = workload::make_profile(workload::App::kLR);
-  const FullSystemSim sim;
-  const auto a = sim.run(profile, fast_params(SystemKind::kVfiMesh));
-  const auto b = sim.run(profile, fast_params(SystemKind::kVfiMesh));
+  const PlatformParams params = fast_params(SystemKind::kVfiMesh);
+  const auto a = FullSystemSim{}.run(profile, params);
+  const auto b = FullSystemSim{}.run(profile, params);
   EXPECT_DOUBLE_EQ(a.exec_s, b.exec_s);
   EXPECT_DOUBLE_EQ(a.total_energy_j(), b.total_energy_j());
 }
@@ -167,8 +175,8 @@ TEST(FullSystem, MemScaleFollowsLatencyRatio) {
   const FullSystemSim sim;
   // Pretend the baseline latency was much higher than measured: mem_scale
   // must drop below 1 (faster memory than baseline).
-  const auto report =
-      sim.run(profile, fast_params(SystemKind::kVfiWinoc), 1000.0);
+  const auto report = sim.run(profile, fast_params(SystemKind::kVfiWinoc),
+                              uniform_baselines(1000.0));
   EXPECT_LT(report.mem_scale, 1.0);
 }
 
@@ -265,10 +273,11 @@ TEST(PaperShapes, Vfi1Vfi2ExecOrdering) {
     params.kind = SystemKind::kNvfiMesh;
     const auto nvfi = sim.run(profile, params);
     params.kind = SystemKind::kVfiMesh;
+    const PhaseBaselines base = uniform_baselines(nvfi.net.avg_latency_cycles);
     params.use_vfi2 = false;
-    const auto vfi1 = sim.run(profile, params, nvfi.net.avg_latency_cycles);
+    const auto vfi1 = sim.run(profile, params, base);
     params.use_vfi2 = true;
-    const auto vfi2 = sim.run(profile, params, nvfi.net.avg_latency_cycles);
+    const auto vfi2 = sim.run(profile, params, base);
     return vfi1.exec_s / vfi2.exec_s;  // > 1 means VFI2 faster
   };
   const double pca = gain(workload::App::kPCA);

@@ -199,16 +199,20 @@ void expect_reports_equal(const sysmodel::SystemReport& a,
   EXPECT_EQ(a.resilience.packets_lost, b.resilience.packets_lost);
 }
 
+// Each compared side runs on its own sim: on a shared one the second side
+// would replay the first side's memo entries instead of simulating.
+
 TEST(TelemetryDeterminism, SinkDoesNotPerturbResults) {
   const auto profile = workload::make_profile(workload::App::kHist);
-  const sysmodel::FullSystemSim sim;
 
-  const auto off = sysmodel::compare_systems(profile, sim, small_params());
+  const auto off = sysmodel::compare_systems(
+      profile, sysmodel::FullSystemSim{}, small_params());
 
   TelemetrySink sink;
   sysmodel::PlatformParams traced = small_params();
   traced.telemetry = &sink;
-  const auto on = sysmodel::compare_systems(profile, sim, traced);
+  const auto on =
+      sysmodel::compare_systems(profile, sysmodel::FullSystemSim{}, traced);
 
   expect_reports_equal(off.nvfi_mesh, on.nvfi_mesh);
   expect_reports_equal(off.vfi_mesh, on.vfi_mesh);
@@ -218,7 +222,6 @@ TEST(TelemetryDeterminism, SinkDoesNotPerturbResults) {
 
 TEST(TelemetryDeterminism, SinkDoesNotPerturbFaultyRuns) {
   const auto profile = workload::make_profile(workload::App::kWC);
-  const sysmodel::FullSystemSim sim;
   sysmodel::PlatformParams params = small_params();
   params.kind = sysmodel::SystemKind::kVfiWinoc;
   params.faults.link_rate = 20.0;
@@ -226,11 +229,11 @@ TEST(TelemetryDeterminism, SinkDoesNotPerturbFaultyRuns) {
   params.faults.core_fail_prob = 0.05;
   params.faults.seed = 1234;
 
-  const auto off = sim.run(profile, params);
+  const auto off = sysmodel::FullSystemSim{}.run(profile, params);
 
   TelemetrySink sink;
   params.telemetry = &sink;
-  const auto on = sim.run(profile, params);
+  const auto on = sysmodel::FullSystemSim{}.run(profile, params);
 
   expect_reports_equal(off, on);
 }
@@ -259,9 +262,9 @@ TEST(TelemetryDeterminism, ReferenceAndFastSteppingTracesIdentical) {
 
 TEST(TelemetryDeterminism, FaultyRunReplaysToIdenticalTrace) {
   const auto profile = workload::make_profile(workload::App::kHist);
-  const sysmodel::FullSystemSim sim;
 
   auto traced_run = [&] {
+    const sysmodel::FullSystemSim sim;
     TelemetrySink sink;
     sysmodel::PlatformParams params = small_params();
     params.kind = sysmodel::SystemKind::kVfiWinoc;
@@ -296,15 +299,15 @@ TEST(TelemetryDeterminism, ParallelSweepMatchesSerialReports) {
   std::vector<workload::AppProfile> profiles{
       workload::make_profile(workload::App::kHist),
       workload::make_profile(workload::App::kWC)};
-  const sysmodel::FullSystemSim sim;
 
-  const auto serial =
-      sysmodel::sweep_comparisons(profiles, sim, small_params(), 1);
+  const auto serial = sysmodel::sweep_comparisons(
+      profiles, sysmodel::FullSystemSim{}, small_params(), 1);
 
   TelemetrySink sink;
   sysmodel::PlatformParams traced = small_params();
   traced.telemetry = &sink;
-  const auto parallel = sysmodel::sweep_comparisons(profiles, sim, traced, 4);
+  const auto parallel = sysmodel::sweep_comparisons(
+      profiles, sysmodel::FullSystemSim{}, traced, 4);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
