@@ -12,6 +12,17 @@ namespace {
 
 constexpr double kUsPerS = 1e6;  // trace convention: 1 simulated s = 1e6 us
 
+/// SLA burn-rate monitor: rolling window length in epochs...
+constexpr std::size_t kSlaWindowEpochs = 8;
+/// ...and the violation budget: breach when the windowed fraction of
+/// completions that missed their deadline exceeds this (0.01 ~ "observed
+/// p99 worse than the deadline").  The monitor arms only when some admitted
+/// job has a deadline.
+constexpr double kSlaBurnBudget = 0.01;
+/// Power monitor: breach when an epoch's max fleet draw reaches this
+/// fraction of the power cap (ignored without a cap).
+constexpr double kPowerProximity = 0.9;
+
 // %.17g round-trips doubles exactly; the attribution checker re-parses
 // these cells in Python (IEEE doubles on both sides) and re-evaluates the
 // documented component sum, so lossy formatting would break the invariant.
@@ -175,9 +186,7 @@ void ClusterObserver::on_admit(std::uint32_t id, std::size_t app_row,
   j.app_row = app_row;
   j.arrival_s = arrival_s;
   j.deadline_abs_s = deadline_abs_s;
-  if (deadline_abs_s > 0.0 || cfg_.sla_target_latency_s > 0.0) {
-    saw_sla_target_ = true;
-  }
+  if (deadline_abs_s > 0.0) saw_sla_target_ = true;
   ++inflight_jobs_;
   ts_inflight_->record(arrival_s, static_cast<double>(inflight_jobs_));
   sink_.tracer().async_begin(job_track_, app_names_[app_row], "job", id,
@@ -283,12 +292,7 @@ void ClusterObserver::on_complete(std::uint32_t aid, double now,
   ts_inflight_->record(now, static_cast<double>(inflight_jobs_));
   sample_power(now, running_power_w);
   ts_goodput_->record(now, 1.0);
-  const bool violated =
-      j.deadline_abs_s > 0.0
-          ? deadline_missed
-          : (cfg_.sla_target_latency_s > 0.0 &&
-             latency_s > cfg_.sla_target_latency_s);
-  note_completion_epoch(now, violated);
+  note_completion_epoch(now, j.deadline_abs_s > 0.0 && deadline_missed);
   sink_.tracer().async_end(job_track_, app_names_[j.app_row], "job", a.job,
                            now * kUsPerS, {{"latency_s", latency_s}});
 }
@@ -415,19 +419,18 @@ std::shared_ptr<const ClusterObsReport> ClusterObserver::finalize(
     if (m.enabled) {
       epoch_completions_.resize(epochs_total, 0);
       epoch_violations_.resize(epochs_total, 0);
-      const std::size_t window = std::max<std::size_t>(1, cfg_.sla_window_epochs);
       std::uint64_t wc = 0, wv = 0;
       bool in_breach = false;
       for (std::size_t e = 0; e < epochs_total; ++e) {
         wc += epoch_completions_[e];
         wv += epoch_violations_[e];
-        if (e >= window) {
-          wc -= epoch_completions_[e - window];
-          wv -= epoch_violations_[e - window];
+        if (e >= kSlaWindowEpochs) {
+          wc -= epoch_completions_[e - kSlaWindowEpochs];
+          wv -= epoch_violations_[e - kSlaWindowEpochs];
         }
         const bool breach =
             wc > 0 && static_cast<double>(wv) >
-                          cfg_.sla_burn_budget * static_cast<double>(wc);
+                          kSlaBurnBudget * static_cast<double>(wc);
         if (breach) {
           ++m.breach_epochs;
           const double at = ts_goodput_->epoch_start_s(
@@ -450,7 +453,7 @@ std::shared_ptr<const ClusterObsReport> ClusterObserver::finalize(
     m.epochs = epochs_total;
     if (m.enabled && epochs_total > 0) {
       power_max_.extend_to(static_cast<std::int64_t>(epochs_total) - 1);
-      const double threshold = cfg_.power_proximity * power_cap_w_;
+      const double threshold = kPowerProximity * power_cap_w_;
       bool in_breach = false;
       for (std::size_t e = 0; e < epochs_total; ++e) {
         const bool breach = power_max_.maxima[e] >= threshold;

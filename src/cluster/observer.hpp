@@ -42,27 +42,14 @@ namespace vfimr::cluster {
 
 /// Knobs for the serving-tier observer.  Off by default: observability is
 /// opt-in per run even with a sink attached, because span storage scales
-/// with admitted jobs (the million-job headline cells stay lean).
+/// with admitted jobs (the million-job headline cells stay lean).  The
+/// time-series epoch is the mean service time across the whole
+/// ServiceMatrix.
 struct ObsConfig {
   bool enabled = false;
-  /// Epoch width for the time-series rollups (simulated seconds); 0 derives
-  /// the mean service time across the whole ServiceMatrix.
-  double epoch_s = 0.0;
   /// Prefix for time-series names and the trace process row.  Give runs
   /// sharing one sink distinct labels or their series merge.
   std::string label = "cluster";
-  /// SLA burn-rate monitor: rolling window length in epochs...
-  std::size_t sla_window_epochs = 8;
-  /// ...and the violation budget: breach when the windowed fraction of
-  /// completions that violated their SLA exceeds this (0.01 ~ "observed
-  /// p99 worse than the deadline").
-  double sla_burn_budget = 0.01;
-  /// Fallback latency target (seconds) for jobs without deadlines; 0 =
-  /// deadline-only (the monitor stays disabled if no job has either).
-  double sla_target_latency_s = 0.0;
-  /// Power monitor: breach when an epoch's max fleet draw reaches this
-  /// fraction of the power cap (ignored without a cap).
-  double power_proximity = 0.9;
 };
 
 /// Why a recorded attempt ended.

@@ -95,17 +95,6 @@ void FleetConfig::validate() const {
                                            << instance_count());
   }
   if (obs.enabled) {
-    VFIMR_REQUIRE_MSG(obs.epoch_s >= 0.0,
-                      "obs.epoch_s must be >= 0 (0 = derive), got "
-                          << obs.epoch_s);
-    VFIMR_REQUIRE_MSG(obs.sla_window_epochs >= 1,
-                      "obs.sla_window_epochs must be >= 1");
-    VFIMR_REQUIRE_MSG(obs.sla_burn_budget > 0.0 && obs.sla_burn_budget <= 1.0,
-                      "obs.sla_burn_budget must be in (0, 1], got "
-                          << obs.sla_burn_budget);
-    VFIMR_REQUIRE_MSG(obs.power_proximity > 0.0 && obs.power_proximity <= 1.0,
-                      "obs.power_proximity must be in (0, 1], got "
-                          << obs.power_proximity);
     VFIMR_REQUIRE_MSG(!obs.label.empty(), "obs.label must be non-empty");
   }
 }
@@ -159,6 +148,8 @@ TextTable ClusterReport::sla_table() const {
 namespace {
 
 constexpr std::int32_t kNone32 = -1;
+/// Bins of the report's end-to-end latency histogram.
+constexpr std::size_t kLatencyHistBins = 64;
 
 struct Job {
   std::size_t app_row = 0;
@@ -301,11 +292,9 @@ ClusterReport ClusterSim::run(const std::vector<JobArrival>& arrivals,
   report.app_order = matrix.app_order();
   report.per_app.assign(matrix.apps(), SlaStats{});
   report.instances = insts.size();
-  const double hist_max = fleet.latency_hist_max_s > 0.0
-                              ? fleet.latency_hist_max_s
-                              : std::max(50.0 * max_exec, 1e-9);
+  // Latency histogram: 50x the slowest service point in the matrix.
   report.latency_hist =
-      Histogram{0.0, hist_max, std::max<std::size_t>(fleet.latency_hist_bins, 1)};
+      Histogram{0.0, std::max(50.0 * max_exec, 1e-9), kLatencyHistBins};
 
   // Per-app hedge budget: sojourn past multiplier x mean service launches
   // the speculative duplicate.
@@ -353,19 +342,16 @@ ClusterReport ClusterSim::run(const std::vector<JobArrival>& arrivals,
   std::unique_ptr<ClusterObserver> obs_owner;
   ClusterObserver* obs = nullptr;
   if (fleet.obs.enabled && fleet.telemetry != nullptr) {
-    double epoch = fleet.obs.epoch_s;
-    if (epoch <= 0.0) {
-      // Derive: mean service time across the whole matrix — coarse enough
-      // to roll up, fine enough to see queue transients.
-      double total = 0.0;
-      for (std::size_t a = 0; a < matrix.apps(); ++a) {
-        for (std::size_t t = 0; t < matrix.types(); ++t) {
-          total += matrix.at(a, t).exec_s;
-        }
+    // Epoch: mean service time across the whole matrix — coarse enough to
+    // roll up, fine enough to see queue transients.
+    double total = 0.0;
+    for (std::size_t a = 0; a < matrix.apps(); ++a) {
+      for (std::size_t t = 0; t < matrix.types(); ++t) {
+        total += matrix.at(a, t).exec_s;
       }
-      epoch = total / static_cast<double>(matrix.apps() * matrix.types());
-      if (!(epoch > 0.0)) epoch = 1e-9;
     }
+    double epoch = total / static_cast<double>(matrix.apps() * matrix.types());
+    if (!(epoch > 0.0)) epoch = 1e-9;
     std::vector<std::string> instance_labels;
     instance_labels.reserve(insts.size());
     for (const Instance& inst : insts) {

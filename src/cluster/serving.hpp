@@ -121,10 +121,6 @@ struct FleetConfig {
   FleetFaultPlan faults;
   RetryPolicy retry;
   HedgePolicy hedge;
-  /// Upper edge of the latency histogram (seconds); 0 derives 50x the
-  /// slowest service point in the matrix.
-  double latency_hist_max_s = 0.0;
-  std::size_t latency_hist_bins = 64;
   /// Optional sink: job counters, SLA quantiles and fleet gauges are
   /// mirrored under "cluster.*" after the run.  Null changes nothing.
   telemetry::TelemetrySink* telemetry = nullptr;

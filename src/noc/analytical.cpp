@@ -12,12 +12,46 @@ namespace vfimr::noc {
 
 namespace {
 
+// Calibrated against the cycle-accurate simulator.
+
+/// Fixed per-packet pipeline entry/exit cost (injection alignment plus the
+/// ejection pass).
+constexpr double kBaseOverheadCycles = 1.0;
+/// Per-packet disruption cost charged once per fault transition a delivered
+/// packet statistically overlaps: the simulator purges in-flight packets,
+/// restarts routing phases and backs off unroutable heads around every
+/// transition.  The expected count of overlapped transitions is
+/// (transitions / window) x path delay.
+constexpr double kTransitionDisruptionCycles = 16.0;
+/// Unroutable heads follow the simulator's retry ladder: a stranded head
+/// waits (base << retries) cycles between attempts and is lost after
+/// kFaultMaxRetries backoffs.  Packets injected during an outage whose
+/// destination repairs within the cumulative budget are *delivered late*,
+/// not lost — the model charges them the expected repair wait.  Exponential
+/// backoff re-probes at cumulative base*(2^k - 1) instants, so the realized
+/// wait overshoots the repair time; this is the mean multiplier on the
+/// expected wait.
+constexpr double kBackoffOvershoot = 1.4;
+/// Head-of-line blocking weight.  A stranded head backs off at the FRONT of
+/// the source's FIFO injection queue, stalling every later injection from
+/// that source for up to the retry budget.  The induced latency mass of the
+/// model's estimate is scaled by this factor.
+constexpr double kHolBlockingFactor = 1.0;
+/// Transition-freeze weight.  A packet in flight toward a dying router parks
+/// its head in a transit input buffer for the whole retry ladder; wormhole
+/// backpressure freezes that port's upstream cone and traps unrelated
+/// traffic until the purge.  This factor is the fraction of the network's
+/// offered load a single frozen port's cone catches; the charge itself is an
+/// expected value over the (usually rare) event that a head is in flight at
+/// the death instant.
+constexpr double kTransitionFreezeFactor = 0.3;
+
 /// M/D/1 mean waiting time for a queue with arrival rate `lambda` packets
 /// per cycle and deterministic service time `service` cycles per packet
 /// (the packet's F flits at one flit per cycle).  rho is clamped at
-/// `max_rho` so saturated links report a large-but-finite wait.
-double md1_wait(double lambda, double service, double max_rho) {
-  const double rho = std::min(lambda * service, max_rho);
+/// kMaxUtilization so saturated links report a large-but-finite wait.
+double md1_wait(double lambda, double service) {
+  const double rho = std::min(lambda * service, kMaxUtilization);
   if (rho <= 0.0) return 0.0;
   return rho * service / (2.0 * (1.0 - rho));
 }
@@ -179,7 +213,7 @@ void AnalyticalNocModel::build_slices() {
     } else {
       if (post_fault) {
         UpDownOptions opts;
-        opts.wireless_cost = cfg_.fault_reroute_wireless_cost;
+        opts.wireless_cost = kFaultRerouteWirelessCost;
         opts.edge_alive = &slice.edge_usable;
         opts.allow_unreachable = true;
         slice.degraded = std::make_shared<const UpDownRouting>(g, opts);
@@ -308,9 +342,8 @@ Metrics AnalyticalNocModel::evaluate(const Matrix& rates,
   // Cumulative unroutable-head retry budget: base * (2^retries - 1) cycles
   // of backoff before the simulator declares a stranded packet lost.
   const double backoff_budget =
-      static_cast<double>(cfg_.fault_backoff_base_cycles) *
-      (static_cast<double>(1ull << std::min(cfg_.fault_max_retries, 30u)) -
-       1.0);
+      static_cast<double>(kFaultBackoffBaseCycles) *
+      (static_cast<double>(1ull << kFaultMaxRetries) - 1.0);
 
   std::vector<double> dir_load(dir_links);
   std::vector<double> channel_load;
@@ -383,8 +416,7 @@ Metrics AnalyticalNocModel::evaluate(const Matrix& rates,
     // exactly this reason).  Later dest-dead injections strand at their
     // source queues instead (charged below).  A death at cycle 0 strands
     // nothing (empty network).
-    if (si > 0 && !slice.routers_died.empty() &&
-        cfg_.transition_freeze_factor > 0.0) {
+    if (si > 0 && !slice.routers_died.empty()) {
       const Slice& prev = slices_[si - 1];
       double heads_in_flight = 0.0;
       for (const graph::NodeId r : slice.routers_died) {
@@ -405,7 +437,7 @@ Metrics AnalyticalNocModel::evaluate(const Matrix& rates,
       // Each frozen head's cone catches a calibrated fraction of the whole
       // offered load over the arrival span; trapped packets release at the
       // purge, so their mean wait is the residual hold.
-      const double freeze_mass = cfg_.transition_freeze_factor *
+      const double freeze_mass = kTransitionFreezeFactor *
                                  heads_in_flight * reach_rate * span *
                                  (hold - span / 2.0);
       latency_weighted += freeze_mass / cycles;
@@ -420,7 +452,7 @@ Metrics AnalyticalNocModel::evaluate(const Matrix& rates,
     // density times the journey length.
     const double disruption_per_cycle =
         transitions_ > 0.0
-            ? (transitions_ / window) * cfg_.transition_disruption_cycles
+            ? (transitions_ / window) * kTransitionDisruptionCycles
             : 0.0;
     for (graph::NodeId s = 0; s < n_; ++s) {
       for (graph::NodeId d = 0; d < n_; ++d) {
@@ -474,9 +506,9 @@ Metrics AnalyticalNocModel::evaluate(const Matrix& rates,
               2.0 * static_cast<double>(rj.wireless_hops) +
               static_cast<double>(rj.sync_crossings) *
                   static_cast<double>(cfg_.sync_penalty_cycles) +
-              (flits - 1.0) + cfg_.base_overhead_cycles;
+              (flits - 1.0) + kBaseOverheadCycles;
           const double wait = std::min(
-              cfg_.backoff_overshoot * expected_wait, backoff_budget);
+              kBackoffOvershoot * expected_wait, backoff_budget);
           const double latency = base_j + wait;
           ejected_rate += drate;
           latency_weighted += drate * latency;
@@ -512,15 +544,13 @@ Metrics AnalyticalNocModel::evaluate(const Matrix& rates,
               const double members =
                   static_cast<double>(slice.channel_members[c]);
               queueing += members > 1.0 ? (members - 1.0) / 2.0 : 0.0;
-              queueing +=
-                  md1_wait(channel_load[c], flits, cfg_.max_utilization);
+              queueing += md1_wait(channel_load[c], flits);
             }
           } else {
             const auto& edge = topo_->graph.edge(hop.edge);
             const std::size_t dir = hop.from == edge.a ? 0 : 1;
             queueing += md1_wait(
-                dir_load[static_cast<std::size_t>(hop.edge) * 2 + dir],
-                flits, cfg_.max_utilization);
+                dir_load[static_cast<std::size_t>(hop.edge) * 2 + dir], flits);
           }
         }
         // Deterministic path delay: one cycle per wire hop, two per
@@ -533,7 +563,7 @@ Metrics AnalyticalNocModel::evaluate(const Matrix& rates,
             2.0 * static_cast<double>(rt.wireless_hops) +
             static_cast<double>(rt.sync_crossings) *
                 static_cast<double>(cfg_.sync_penalty_cycles) +
-            (flits - 1.0) + cfg_.base_overhead_cycles;
+            (flits - 1.0) + kBaseOverheadCycles;
         const double latency =
             (base + queueing) * (1.0 + disruption_per_cycle);
         latency_weighted += rate * latency;
@@ -591,8 +621,8 @@ Metrics AnalyticalNocModel::evaluate(const Matrix& rates,
       // When the block outlives the overlap, every caught packet waits
       // close to the full block; when arrivals cover it, the mean is half.
       const double wait = block - std::min(block, blocked) / 2.0;
-      latency_weighted += cfg_.hol_blocking_factor * other_rate * blocked *
-                          wait / cycles;
+      latency_weighted +=
+          kHolBlockingFactor * other_rate * blocked * wait / cycles;
     }
 
     const auto slice_packets = static_cast<std::uint64_t>(

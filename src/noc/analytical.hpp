@@ -44,6 +44,14 @@
 
 namespace vfimr::noc {
 
+/// M/D/1 utilization clamp: per-link rho is capped here so saturated links
+/// report a large-but-finite queueing wait instead of a pole.  A load past
+/// it has no steady state (the analytical twin of an undrained network).
+inline constexpr double kMaxUtilization = 0.95;
+
+/// One evaluation's inputs.  The fault retry ladder and the reroute cost are
+/// the simulator's own (kFaultMaxRetries, kFaultBackoffBaseCycles,
+/// kFaultRerouteWirelessCost in noc/network.hpp).
 struct AnalyticalConfig {
   /// Injection window the expected event counts are scaled to (the same
   /// role as the simulator's measured window).
@@ -54,45 +62,6 @@ struct AnalyticalConfig {
   std::uint32_t sync_penalty_cycles = 1;
   /// Expanded fault timeline (same schedule the simulator would apply).
   faults::FaultSchedule faults;
-  /// Wireless-hop cost for the degraded up*/down* rebuilds (matches
-  /// SimConfig::fault_reroute_wireless_cost).
-  double fault_reroute_wireless_cost = 2.5;
-  /// M/D/1 utilization clamp: per-link rho is capped here so saturated
-  /// links report a large-but-finite queueing wait instead of a pole.
-  double max_utilization = 0.95;
-  /// Fixed per-packet pipeline entry/exit cost (injection alignment plus
-  /// the ejection pass), calibrated against the cycle-accurate simulator.
-  double base_overhead_cycles = 1.0;
-  /// Per-packet disruption cost charged once per fault transition a
-  /// delivered packet statistically overlaps: the simulator purges
-  /// in-flight packets, restarts routing phases and backs off unroutable
-  /// heads around every transition.  Calibrated; the expected count of
-  /// overlapped transitions is (transitions / window) x path delay.
-  double transition_disruption_cycles = 16.0;
-  /// Unroutable-head retry policy, mirroring SimConfig: a stranded head
-  /// waits (base << retries) cycles between attempts and is lost after
-  /// `fault_max_retries` backoffs.  Packets injected during an outage whose
-  /// destination repairs within the cumulative budget are *delivered late*,
-  /// not lost — the model charges them the expected repair wait.
-  std::uint32_t fault_backoff_base_cycles = 8;
-  std::uint32_t fault_max_retries = 8;
-  /// Exponential backoff re-probes at cumulative base*(2^k - 1) instants,
-  /// so the realized wait overshoots the repair time; calibrated mean
-  /// multiplier on the expected wait.
-  double backoff_overshoot = 1.4;
-  /// Head-of-line blocking weight.  A stranded head backs off at the FRONT
-  /// of the source's FIFO injection queue, stalling every later injection
-  /// from that source for up to the retry budget.  The induced latency
-  /// mass of the model's estimate is scaled by this calibrated factor.
-  double hol_blocking_factor = 1.0;
-  /// Transition-freeze weight.  A packet in flight toward a dying router
-  /// parks its head in a transit input buffer for the whole retry ladder;
-  /// wormhole backpressure freezes that port's upstream cone and traps
-  /// unrelated traffic until the purge.  This factor is the calibrated
-  /// fraction of the network's offered load a single frozen port's cone
-  /// catches; the charge itself is an expected value over the (usually
-  /// rare) event that a head is in flight at the death instant.
-  double transition_freeze_factor = 0.3;
 };
 
 /// Optional per-evaluation diagnostics (cross-validation suite, property
@@ -198,10 +167,11 @@ class AnalyticalNocModel {
 
  public:
   /// Thread-safe memo of constructed models, keyed on a serialized
-  /// evaluation config (window, clustering, fault schedule, knobs).  The
-  /// owning platform embeds one so the phase evaluations of a run — and,
-  /// through a shared PlatformCache, every sweep point on the same platform
-  /// — pay each model construction once instead of once per evaluation.
+  /// evaluation config (window, clustering, synchronizer penalty, fault
+  /// schedule).  The owning platform embeds one so the phase evaluations of
+  /// a run — and, through a shared PlatformCache, every sweep point on the
+  /// same platform — pay each model construction once instead of once per
+  /// evaluation.
   /// Models hold pointers into the owning platform; the cache must not
   /// outlive it.  Concurrent insert races are benign: construction is
   /// deterministic and the first inserted model wins.

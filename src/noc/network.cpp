@@ -7,14 +7,19 @@
 
 namespace vfimr::noc {
 
+namespace {
+
+/// Trace one NoC packet journey per this many packet ids.  Sampling bounds
+/// trace volume: a 60k-cycle full-system run injects hundreds of thousands
+/// of packets per network.
+constexpr std::uint64_t kNocPacketSampleEvery = 64;
+
+}  // namespace
+
 Network::Network(const Topology& topology, const RoutingAlgorithm& routing,
                  SimConfig config, WirelessConfig wireless)
     : topo_{&topology}, routing_{&routing}, cfg_{config} {
   const auto& g = topo_->graph;
-  VFIMR_REQUIRE_MSG(cfg_.wire_buffer_depth >= 1,
-                    "wire_buffer_depth must be at least 1 flit");
-  VFIMR_REQUIRE_MSG(cfg_.wi_buffer_depth >= 1,
-                    "wi_buffer_depth must be at least 1 flit");
   routers_.resize(g.node_count());
   edge_flits_.assign(g.edge_count(), 0);
   resident_flits_.assign(g.node_count(), 0);
@@ -33,7 +38,7 @@ Network::Network(const Topology& topology, const RoutingAlgorithm& routing,
       const auto& ed = g.edge(e);
       if (ed.kind != graph::EdgeKind::kWire) continue;
       InPort in;
-      in.capacity = cfg_.wire_buffer_depth;
+      in.capacity = kWireBufferDepth;
       in.via_edge = e;
       r.in.push_back(std::move(in));
       OutPort out;
@@ -76,7 +81,6 @@ Network::Network(const Topology& topology, const RoutingAlgorithm& routing,
   active_routing_ = routing_;
   if (!cfg_.faults.empty()) {
     faults_enabled_ = true;
-    VFIMR_REQUIRE(cfg_.fault_backoff_base_cycles >= 1);
     edge_down_.assign(g.edge_count(), 0);
     router_down_.assign(g.node_count(), 0);
     wi_down_.assign(g.node_count(), 0);
@@ -99,8 +103,6 @@ void Network::setup_telemetry() {
   tele_fault_events_ = &m.counter(label + ".noc.fault_events");
   tele_packets_track_ = tele_->tracer().track(label, "NoC packets (sampled)");
   tele_faults_track_ = tele_->tracer().track(label, "NoC faults");
-  tele_sample_every_ = std::max<std::uint64_t>(
-      1, tele_->config().noc_packet_sample_every);
 }
 
 void Network::inject(graph::NodeId src, graph::NodeId dest,
@@ -212,7 +214,7 @@ void Network::eject_router(graph::NodeId n, Cycle now) {
         const double latency = static_cast<double>(now - f.inject_cycle);
         tele_latency_->add(latency);
         tele_hops_->add(static_cast<double>(f.hops));
-        if (f.packet % tele_sample_every_ == 0) {
+        if (f.packet % kNocPacketSampleEvery == 0) {
           tele_->tracer().complete(
               tele_packets_track_,
               "pkt " + std::to_string(f.src) + "->" + std::to_string(f.dest),
@@ -274,7 +276,7 @@ std::int32_t Network::arbitrate(graph::NodeId node, std::uint32_t out_idx,
     if (ed.kind == graph::EdgeKind::kWireless) {
       VFIMR_REQUIRE_MSG(r.wireless_tx >= 0,
                         "route uses wireless at a non-WI node");
-      VFIMR_REQUIRE_MSG(f.size <= cfg_.wi_buffer_depth,
+      VFIMR_REQUIRE_MSG(f.size <= kWiBufferDepth,
                         "packet larger than the WI buffer cannot cross a "
                         "wireless link");
       VFIMR_REQUIRE_MSG(f.vn == 0,
@@ -284,7 +286,7 @@ std::int32_t Network::arbitrate(graph::NodeId node, std::uint32_t out_idx,
       // the TX queue only when the whole packet fits.  Together with
       // whole-packet channel reservation (service_wireless_channels) this
       // decouples the wireless layer and keeps the token MAC deadlock-free.
-      if (r.tx_queue.size() + f.size > cfg_.wi_buffer_depth) continue;
+      if (r.tx_queue.size() + f.size > kWiBufferDepth) continue;
       target = static_cast<std::uint32_t>(r.wireless_tx);
       wi_dest = topo_->graph.other_end(dec.edge, node);
     } else {
@@ -326,7 +328,7 @@ std::int32_t Network::candidate_target(graph::NodeId node, std::int32_t idx,
     if (ed.kind == graph::EdgeKind::kWireless) {
       VFIMR_REQUIRE_MSG(r.wireless_tx >= 0,
                         "route uses wireless at a non-WI node");
-      VFIMR_REQUIRE_MSG(f.size <= cfg_.wi_buffer_depth,
+      VFIMR_REQUIRE_MSG(f.size <= kWiBufferDepth,
                         "packet larger than the WI buffer cannot cross a "
                         "wireless link");
       VFIMR_REQUIRE_MSG(f.vn == 0,
@@ -345,7 +347,7 @@ std::int32_t Network::candidate_target(graph::NodeId node, std::int32_t idx,
   // Same wireless admission rule as the reference arbitrate(): a candidate
   // whose packet does not fit the TX queue right now is no candidate.
   if (f.route_wi_dest != graph::kInvalidId &&
-      r.tx_queue.size() + f.size > cfg_.wi_buffer_depth) {
+      r.tx_queue.size() + f.size > kWiBufferDepth) {
     return -1;
   }
   return f.route_out;
@@ -442,7 +444,7 @@ bool Network::try_move_vn(graph::NodeId node, OutPort& out, std::size_t vn) {
   if (out.kind == OutKind::kWire) {
     if (!downstream_has_space(out, vn)) return false;
   } else {
-    if (r.tx_queue.size() >= cfg_.wi_buffer_depth) return false;
+    if (r.tx_queue.size() >= kWiBufferDepth) return false;
   }
 
   Flit moved = f;

@@ -47,9 +47,20 @@ struct WirelessConfig {
   std::vector<WirelessInterface> interfaces;
 };
 
+/// Input-buffer depths per the paper's setup (§7): "buffer depth of two
+/// flits" on wire ports, eight on wireless-interface ports.
+inline constexpr std::uint32_t kWireBufferDepth = 2;
+inline constexpr std::uint32_t kWiBufferDepth = 8;
+/// Fault retry ladder, shared by the simulator and the analytical model: a
+/// head flit whose route is a fault hole waits (base << retries) cycles
+/// between attempts; after kFaultMaxRetries backoffs the packet is declared
+/// lost and purged from the network.
+inline constexpr std::uint32_t kFaultMaxRetries = 8;
+inline constexpr std::uint32_t kFaultBackoffBaseCycles = 8;
+/// Wireless-hop cost of the degraded up*/down* tables rebuilt under faults.
+inline constexpr double kFaultRerouteWirelessCost = 2.5;
+
 struct SimConfig {
-  std::uint32_t wire_buffer_depth = 2;  ///< paper: "buffer depth of two flits"
-  std::uint32_t wi_buffer_depth = 8;    ///< paper: WI ports have depth eight
   /// VFI domain of each node (empty = single clock domain).  A flit crossing
   /// a domain boundary pays `sync_penalty_cycles` extra (mixed-clock FIFO
   /// synchronizers) — the "unnecessary latency overhead" of inter-VFI
@@ -66,13 +77,6 @@ struct SimConfig {
   /// empty schedule bypasses the fault machinery entirely — the simulation
   /// is then bit-identical to one without it.  See DESIGN.md §9.
   faults::FaultSchedule faults;
-  /// A head flit whose route is a fault hole waits (base << retries) cycles
-  /// between attempts; after `fault_max_retries` backoffs the packet is
-  /// declared lost and purged from the network.
-  std::uint32_t fault_max_retries = 8;
-  std::uint32_t fault_backoff_base_cycles = 8;
-  /// Wireless-hop cost used when rebuilding degraded up*/down* tables.
-  double fault_reroute_wireless_cost = 2.5;
   /// Telemetry sink (nullable, caller-owned; see src/telemetry/telemetry.hpp).
   /// When null, every instrumentation site is a single pointer test and the
   /// simulation is bit-identical to the pre-telemetry code.
@@ -314,7 +318,7 @@ class Network {
   void reset_route_state();
   /// Pre-pass over every router (identical in reference and fast stepping):
   /// ready front heads whose route is a hole take an exponential-backoff
-  /// wait, and after fault_max_retries waits the packet is declared lost.
+  /// wait, and after kFaultMaxRetries waits the packet is declared lost.
   void backoff_unroutable_heads();
   void handle_unreachable(Flit& f);
 
@@ -366,7 +370,6 @@ class Network {
   telemetry::Counter* tele_fault_events_ = nullptr;
   std::uint32_t tele_packets_track_ = 0;  ///< sampled packet journeys
   std::uint32_t tele_faults_track_ = 0;   ///< fault/purge instants
-  std::uint64_t tele_sample_every_ = 0;   ///< packet-journey sampling stride
 };
 
 }  // namespace vfimr::noc

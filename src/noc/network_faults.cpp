@@ -108,7 +108,7 @@ void Network::recompute_fault_state() {
     // in-flight heads may carry down-phase bits from an older tree that the
     // original (hole-intolerant) tables would refuse to route.
     UpDownOptions opts;
-    opts.wireless_cost = cfg_.fault_reroute_wireless_cost;
+    opts.wireless_cost = kFaultRerouteWirelessCost;
     opts.edge_alive = &edge_usable_;
     opts.allow_unreachable = true;
     degraded_routing_ = std::make_unique<UpDownRouting>(g, opts);
@@ -303,7 +303,7 @@ void Network::handle_unreachable(Flit& f) {
   const Cycle now = metrics_.cycles;
   ++metrics_.retry_backoffs;
   if (tele_ != nullptr) tele_backoffs_->add();
-  if (f.retries >= cfg_.fault_max_retries) {
+  if (f.retries >= kFaultMaxRetries) {
     // Retry budget exhausted: declare the packet lost.  ready_cycle = now+1
     // keeps the drain loop stepping so next step()'s purge collects it.
     pending_lost_.push_back(f.packet);
@@ -312,7 +312,7 @@ void Network::handle_unreachable(Flit& f) {
   }
   const std::uint32_t shift = std::min<std::uint32_t>(f.retries, 10);
   f.ready_cycle =
-      now + (static_cast<Cycle>(cfg_.fault_backoff_base_cycles) << shift);
+      now + (static_cast<Cycle>(kFaultBackoffBaseCycles) << shift);
   ++f.retries;
 }
 

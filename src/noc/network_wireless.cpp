@@ -24,7 +24,7 @@ void Network::setup_wireless(const WirelessConfig& wireless) {
     wi_channel[wi.node] = wi.channel;
     auto& r = routers_[wi.node];
     InPort rx;
-    rx.capacity = cfg_.wi_buffer_depth;
+    rx.capacity = kWiBufferDepth;
     rx.is_wireless_rx = true;
     r.wireless_rx = static_cast<std::int32_t>(r.in.size());
     r.in.push_back(std::move(rx));
@@ -63,7 +63,7 @@ void Network::service_wireless_channels() {
         auto& rx =
             dest_router.in[static_cast<std::size_t>(dest_router.wireless_rx)]
                 .buf[1];
-        const std::uint32_t rx_cap = cfg_.wi_buffer_depth;
+        const std::uint32_t rx_cap = kWiBufferDepth;
         // Whole-packet reservation: a head flit starts transmitting only if
         // the destination RX can absorb the entire packet.  The RX has a
         // single writer (this channel), so the reservation cannot be stolen

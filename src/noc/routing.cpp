@@ -76,9 +76,8 @@ constexpr double kEps = 1e-9;
 
 }  // namespace
 
-UpDownRouting::UpDownRouting(const graph::Graph& g, double wireless_cost,
-                             graph::NodeId root)
-    : UpDownRouting{g, UpDownOptions{wireless_cost, root, nullptr, false}} {}
+UpDownRouting::UpDownRouting(const graph::Graph& g, double wireless_cost)
+    : UpDownRouting{g, UpDownOptions{wireless_cost, nullptr, false}} {}
 
 UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
     : n_{g.node_count()},
@@ -111,9 +110,7 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
     VFIMR_REQUIRE_MSG(graph::is_connected(wired),
                       "up*/down* routing needs a connected wired topology");
   }
-  root_ = opts.root == graph::kInvalidId ? graph::max_degree_node(wired)
-                                         : opts.root;
-  VFIMR_REQUIRE(root_ < n_);
+  root_ = graph::max_degree_node(wired);
 
   const auto level = graph::bfs_hops(wired, root_);
   const UpDownOrder order{level};

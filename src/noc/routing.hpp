@@ -60,8 +60,6 @@ class XyRouting final : public RoutingAlgorithm {
 /// Construction options for UpDownRouting (fault-degraded instances).
 struct UpDownOptions {
   double wireless_cost = 2.5;
-  /// Root of the up*/down* order; kInvalidId = max-degree node heuristic.
-  graph::NodeId root = graph::kInvalidId;
   /// Optional per-EdgeId liveness mask (size == g.edge_count()); nullptr
   /// means every edge is usable.  Dead edges are excluded from the order,
   /// the cost passes and the tables — the construction routes around them.
@@ -83,10 +81,9 @@ struct UpDownOptions {
 /// the three channels and they saturate.
 class UpDownRouting final : public RoutingAlgorithm {
  public:
-  /// Builds tables for `g`; root defaults to the max-degree node, the usual
-  /// heuristic for irregular topologies.  Requires a connected graph.
-  explicit UpDownRouting(const graph::Graph& g, double wireless_cost = 2.5,
-                         graph::NodeId root = graph::kInvalidId);
+  /// Builds tables for `g`, rooted at the max-degree node (the usual
+  /// heuristic for irregular topologies).  Requires a connected graph.
+  explicit UpDownRouting(const graph::Graph& g, double wireless_cost = 2.5);
 
   /// Fault-aware construction: honours `opts.edge_alive` and, with
   /// `opts.allow_unreachable`, survives topologies that faults have cut

@@ -106,9 +106,7 @@ void fields(V& v, S& f) {
 /// to an untraced one.
 template <typename V, Is<noc::SimConfig> S>
 void fields(V& v, S& c) {
-  v(c.wire_buffer_depth, c.wi_buffer_depth, c.node_cluster,
-    c.sync_penalty_cycles, c.reference_stepping, c.fault_max_retries,
-    c.fault_backoff_base_cycles, c.fault_reroute_wireless_cost, c.faults);
+  v(c.node_cluster, c.sync_penalty_cycles, c.reference_stepping, c.faults);
 }
 
 template <typename V, Is<noc::Point> S>
@@ -166,10 +164,9 @@ void fields(V& v, S& p) {
 template <typename V, Is<sysmodel::PlatformParams> S>
 void fields(V& v, S& p) {
   v(as<std::uint32_t>(p.kind), p.use_vfi2, as<std::uint32_t>(p.placement),
-    p.smallworld, p.vfi, p.network_clock_hz, p.router_pipeline_cycles,
-    as<std::uint32_t>(p.vfi_stealing), as<std::uint8_t>(p.fidelity),
-    p.sim_cycles, p.drain_cycles, p.traffic_seed, p.phase_window_scale,
-    p.noc_sim, p.faults);
+    p.smallworld, p.vfi, as<std::uint32_t>(p.vfi_stealing),
+    as<std::uint8_t>(p.fidelity), p.sim_cycles, p.drain_cycles,
+    p.traffic_seed, p.noc_sim, p.faults);
 }
 
 // ---- Stored outputs.

@@ -16,12 +16,14 @@ namespace vfimr::sysmodel {
 
 namespace {
 
+/// Per-hop switch pipeline depth in cycles.  The event simulator moves a
+/// flit one hop per cycle (throughput-exact for wormhole); the remaining
+/// (depth - 1) cycles per wire hop are added to the measured latency, the
+/// standard correction for multi-stage 65 nm router pipelines.  Wireless
+/// hops bypass intermediate switch pipelines (single mm-wave transfer).
+constexpr std::uint32_t kRouterPipelineCycles = 4;
+
 void require_valid(const PlatformParams& params) {
-  VFIMR_REQUIRE_MSG(params.network_clock_hz > 0.0,
-                    "network_clock_hz must be positive, got "
-                        << params.network_clock_hz);
-  VFIMR_REQUIRE_MSG(params.router_pipeline_cycles >= 1,
-                    "router_pipeline_cycles must be at least 1");
   VFIMR_REQUIRE_MSG(params.sim_cycles > 0,
                     "sim_cycles must be positive (no injection window)");
 }
@@ -68,20 +70,18 @@ noc::SimConfig resolved_sim_config(const BuiltPlatform& platform,
 /// The pipeline correction and the per-flit energy math are identical for
 /// both bands, so their results stay comparable term by term.
 NetworkEval finalize_eval(const noc::Metrics& metrics, bool drained,
-                          const PlatformParams& params,
                           const power::NocPowerModel& noc_power) {
   NetworkEval eval;
   eval.metrics = metrics;
   eval.drained = drained;
   eval.avg_latency_cycles = eval.metrics.avg_latency();
   eval.flits_delivered = eval.metrics.flits_ejected;
-  if (eval.flits_delivered > 0 && params.router_pipeline_cycles > 1) {
+  if (eval.flits_delivered > 0) {
     const double wire_hops_per_flit =
         static_cast<double>(eval.metrics.energy.wire_hops) /
         static_cast<double>(eval.flits_delivered);
     eval.avg_latency_cycles +=
-        wire_hops_per_flit *
-        static_cast<double>(params.router_pipeline_cycles - 1);
+        wire_hops_per_flit * static_cast<double>(kRouterPipelineCycles - 1);
   }
   // Lost packets are deliberately NOT folded into avg_latency_cycles: the
   // delivered packets' average already reflects the degraded network (longer
@@ -112,7 +112,7 @@ NetworkEval evaluate_network_traffic(const BuiltPlatform& platform,
   noc::MatrixTraffic gen{node_traffic, packet_flits, params.traffic_seed};
   net.run(&gen, params.sim_cycles);
   const bool drained = net.drain(params.drain_cycles);
-  return finalize_eval(net.metrics(), drained, params, noc_power);
+  return finalize_eval(net.metrics(), drained, noc_power);
 }
 
 NetworkEval evaluate_network_analytical(const BuiltPlatform& platform,
@@ -129,18 +129,15 @@ NetworkEval evaluate_network_analytical(const BuiltPlatform& platform,
   cfg.node_cluster = sim_cfg.node_cluster;
   cfg.sync_penalty_cycles = sim_cfg.sync_penalty_cycles;
   cfg.faults = sim_cfg.faults;
-  cfg.fault_reroute_wireless_cost = sim_cfg.fault_reroute_wireless_cost;
 
   // The model is traffic-independent (routes + fault slices only), so it is
-  // memoized on the platform, keyed on the config fields set above (the
-  // rest are model constants).  The phase evaluations of a run — and, with
-  // a shared PlatformCache, every sweep point over the same platform —
-  // reuse one construction, which is what keeps the analytical band's
-  // per-evaluation cost flat while the cycle-accurate band's grows with the
-  // injection window.
+  // memoized on the platform, keyed on its config.  The phase evaluations
+  // of a run — and, with a shared PlatformCache, every sweep point over the
+  // same platform — reuse one construction, which is what keeps the
+  // analytical band's per-evaluation cost flat while the cycle-accurate
+  // band's grows with the injection window.
   store::ByteWriter key;
-  key(cfg.sim_cycles, cfg.node_cluster, cfg.sync_penalty_cycles,
-      cfg.fault_reroute_wireless_cost, cfg.faults);
+  key(cfg.sim_cycles, cfg.node_cluster, cfg.sync_penalty_cycles, cfg.faults);
   std::string model_key = key.take();
   std::shared_ptr<const noc::AnalyticalNocModel> model =
       platform.analytical_models->find(model_key);
@@ -157,8 +154,8 @@ NetworkEval evaluate_network_analytical(const BuiltPlatform& platform,
   // the utilization clamp, i.e. the offered load has a steady state.
   const bool drained =
       std::max(detail.max_link_utilization, detail.max_channel_utilization) <=
-      cfg.max_utilization;
-  return finalize_eval(metrics, drained, params, noc_power);
+      noc::kMaxUtilization;
+  return finalize_eval(metrics, drained, noc_power);
 }
 
 NetworkEval evaluate_network_banded(const BuiltPlatform& platform,
@@ -202,7 +199,7 @@ std::string cache_key(const BuiltPlatform& platform,
 
   // Offered traffic, simulation window + latency correction.
   key(node_traffic, packet_flits, params.traffic_seed, params.sim_cycles,
-      params.drain_cycles, params.router_pipeline_cycles, params.noc_sim);
+      params.drain_cycles, params.noc_sim);
 
   // The rate-based fault spec, expanded into a schedule inside the
   // evaluation.  Its task-side fields (core_fail_prob, loss_timeout_cycles)
@@ -224,7 +221,6 @@ NetworkEval NetworkEvaluator::evaluate(const BuiltPlatform& platform,
                                        const PlatformParams& params,
                                        const power::NocPowerModel& noc_power,
                                        const std::string& label) {
-  require_valid(params);  // before the lookup: the clock is not in the key
   const std::string key =
       cache_key(platform, node_traffic, packet_flits, params, noc_power);
   const bool analytical = analytical_band(params.fidelity);

@@ -72,13 +72,6 @@ struct PlatformParams {
       winoc::PlacementStrategy::kMaxWirelessUtilization;
   winoc::SmallWorldParams smallworld{};
   vfi::VfiDesignParams vfi{};
-  double network_clock_hz = 1.0e9;
-  /// Per-hop switch pipeline depth in cycles.  The event simulator moves a
-  /// flit one hop per cycle (throughput-exact for wormhole); the remaining
-  /// (depth - 1) cycles per wire hop are added to the measured latency, the
-  /// standard correction for multi-stage 65 nm router pipelines.  Wireless
-  /// hops bypass intermediate switch pipelines (single mm-wave transfer).
-  std::uint32_t router_pipeline_cycles = 4;
   /// Scheduler used on VFI systems (NVFI always runs kPhoenixDefault).
   /// See sysmodel/task_sim.hpp for the two Eq. 3 readings.
   StealingPolicy vfi_stealing = StealingPolicy::kVfiAssignment;
@@ -111,13 +104,6 @@ struct PlatformParams {
   /// bit-identical either way.
   NetworkEvaluator* net_eval = nullptr;
   PlatformCache* platform_cache = nullptr;
-  /// Per-phase injection-window length as a fraction of `sim_cycles` for
-  /// profiles with per-phase traffic.  The default halves the window: four
-  /// phase evaluations at half the window (minus the LibInit == Merge cache
-  /// hit) cost ~1.5x one whole-run evaluation instead of 4x.  Profiles
-  /// without phase traffic evaluate all four phases under one matrix in the
-  /// full window (one simulation plus three NetworkEvaluator hits).
-  double phase_window_scale = 0.5;
 };
 
 /// The process/metric prefix a telemetry-enabled run uses: the explicit

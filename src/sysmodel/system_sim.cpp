@@ -16,6 +16,21 @@ FullSystemSim::FullSystemSim(Models models, const power::VfTable& table)
 
 namespace {
 
+/// NoC clock: converts a phase's packets per cycle into flits over its wall
+/// time for the dynamic-energy charge.
+constexpr double kNetworkClockHz = 1.0e9;
+/// Per-phase injection window as a fraction of `sim_cycles` for profiles
+/// with per-phase traffic: four phase evaluations at half the window (minus
+/// the LibInit == Merge cache hit) cost ~1.5x one whole-run evaluation
+/// instead of 4x.  Profiles without phase traffic evaluate all four phases
+/// under one matrix in the full window (one simulation plus three
+/// NetworkEvaluator hits).
+constexpr double kPhaseWindowScale = 0.5;
+/// Epoch width (simulated seconds) of the per-application utilization and
+/// power time series recorded at phase boundaries.  The cluster tier picks
+/// its own epoch (cluster/observer.hpp).
+constexpr double kSysTimeseriesEpochS = 0.25;
+
 /// Memory fraction of a task set's nominal task time.
 double mem_fraction(const workload::TaskSet& spec, double fmax) {
   const double compute_s = spec.cycles_mean / fmax;
@@ -97,8 +112,6 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
                                 const PhaseBaselines& baselines) const {
   const std::size_t n = profile.threads;
   VFIMR_REQUIRE(profile.utilization.size() == n);
-  VFIMR_REQUIRE_MSG(params.phase_window_scale > 0.0,
-                    "phase_window_scale must be positive");
   VFIMR_REQUIRE_MSG(params.sim_cycles > 0,
                     "sim_cycles must be positive (no injection window)");
 
@@ -145,8 +158,7 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
   // Phases with equal traffic are one simulation: LibInit and Merge share a
   // matrix by construction, and a profile without phase traffic shares one
   // across all four.
-  const double window_scale =
-      report.phase_resolved ? params.phase_window_scale : 1.0;
+  const double window_scale = report.phase_resolved ? kPhaseWindowScale : 1.0;
   PlatformParams phase_params = params;
   phase_params.sim_cycles = std::max<noc::Cycle>(
       1, static_cast<noc::Cycle>(static_cast<double>(params.sim_cycles) *
@@ -251,11 +263,6 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
             (static_cast<std::uint64_t>(profile.app) << 20) ^
             (++fault_phase * 0x9E3779B97F4A7C15ull));
   };
-  auto account_phase = [&](const TaskSimResult& actual) {
-    report.resilience.core_failures += actual.cores_failed;
-    report.resilience.tasks_reexecuted += actual.tasks_reexecuted;
-    report.resilience.wasted_core_seconds += actual.wasted_seconds;
-  };
 
   // Phase spans chain end to end on the simulated-time axis (1 simulated
   // second = 1e6 trace µs); `sim_us` is the running cursor and doubles as
@@ -291,17 +298,44 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
     metrics.gauge(label + ".sys.idle_s")
         .add(actual.makespan_s * static_cast<double>(n) - busy);
     if (actual.makespan_s > 0.0) {
-      const double epoch = tele->config().sys_timeseries_epoch_s;
       const double at_s = sim_us / 1e6;
-      metrics.timeseries(label + ".sys.utilization", epoch)
+      metrics.timeseries(label + ".sys.utilization", kSysTimeseriesEpochS)
           .record(at_s, busy / (actual.makespan_s * static_cast<double>(n)));
-      metrics.timeseries(label + ".sys.power_w", epoch)
+      metrics.timeseries(label + ".sys.power_w", kSysTimeseriesEpochS)
           .record(at_s, core_energy_j / actual.makespan_s);
     }
   };
 
-  // Each stage's memory time scales by its own phase's mem_scale.
+  // One parallel phase (Map or Reduce) of one iteration: its tasks, its own
+  // core-failure draw, the actual run under the system's stealing policy,
+  // and the untraced nominal (f_max, fault-free) normalization run.
   using workload::Phase;
+  const StealingPolicy policy =
+      built.has_vfi ? params.vfi_stealing : StealingPolicy::kPhoenixDefault;
+  auto run_parallel_phase = [&](const workload::TaskSet& spec, Phase phase,
+                                const char* name, double& phase_s) {
+    const auto tasks = materialize_tasks(spec, profile.utilization, task_rng);
+    std::vector<faults::CoreFault> core_faults;
+    if (core_faults_on) core_faults = draw_core_faults();
+    PhaseTelemetry pt{tele, label, label, name, sim_us};
+    const double mem_scale = report.phase_result(phase).mem_scale;
+    const TaskSimResult actual =
+        simulate_phase(tasks, cores, mem_scale, policy,
+                       core_faults_on ? &core_faults : nullptr,
+                       tele != nullptr ? &pt : nullptr);
+    const TaskSimResult nominal = simulate_phase(
+        tasks, nominal_cores, 1.0, StealingPolicy::kPhoenixDefault);
+    phase_s += actual.makespan_s;
+    const double energy_j = parallel_energy(spec, actual, nominal, mem_scale);
+    report.core_energy_j += energy_j;
+    report.resilience.core_failures += actual.cores_failed;
+    report.resilience.tasks_reexecuted += actual.tasks_reexecuted;
+    report.resilience.wasted_core_seconds += actual.wasted_seconds;
+    note_phase(actual, energy_j);
+    trace_phase(name, actual.makespan_s);
+  };
+
+  // Each stage's memory time scales by its own phase's mem_scale.
   for (int iter = 0; iter < profile.iterations; ++iter) {
     // Library init (serial, master).
     const double t_li =
@@ -311,52 +345,10 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
     report.core_energy_j += serial_energy(t_li);
     trace_phase("lib_init", t_li);
 
-    const StealingPolicy policy =
-        built.has_vfi ? params.vfi_stealing : StealingPolicy::kPhoenixDefault;
-
-    // Map.
-    const auto map_tasks =
-        materialize_tasks(profile.phases.map, profile.utilization, task_rng);
-    std::vector<faults::CoreFault> map_faults;
-    if (core_faults_on) map_faults = draw_core_faults();
-    PhaseTelemetry map_pt{tele, label, label, "map", sim_us};
-    const double ms_map = report.phase_result(Phase::kMap).mem_scale;
-    const TaskSimResult map_actual =
-        simulate_phase(map_tasks, cores, ms_map, policy,
-                       core_faults_on ? &map_faults : nullptr,
-                       tele != nullptr ? &map_pt : nullptr);
-    // The nominal (f_max, fault-free) normalization run stays untraced.
-    const TaskSimResult map_nominal = simulate_phase(
-        map_tasks, nominal_cores, 1.0, StealingPolicy::kPhoenixDefault);
-    report.phases.map_s += map_actual.makespan_s;
-    const double map_energy_j =
-        parallel_energy(profile.phases.map, map_actual, map_nominal, ms_map);
-    report.core_energy_j += map_energy_j;
-    account_phase(map_actual);
-    note_phase(map_actual, map_energy_j);
-    trace_phase("map", map_actual.makespan_s);
-
-    // Reduce.
-    const auto red_tasks = materialize_tasks(profile.phases.reduce,
-                                             profile.utilization, task_rng);
-    std::vector<faults::CoreFault> red_faults;
-    if (core_faults_on) red_faults = draw_core_faults();
-    PhaseTelemetry red_pt{tele, label, label, "reduce", sim_us};
-    const double ms_red = report.phase_result(Phase::kReduce).mem_scale;
-    const TaskSimResult red_actual =
-        simulate_phase(red_tasks, cores, ms_red, policy,
-                       core_faults_on ? &red_faults : nullptr,
-                       tele != nullptr ? &red_pt : nullptr);
-    const TaskSimResult red_nominal = simulate_phase(
-        red_tasks, nominal_cores, 1.0, StealingPolicy::kPhoenixDefault);
-    report.phases.reduce_s += red_actual.makespan_s;
-    const double red_energy_j = parallel_energy(profile.phases.reduce,
-                                                red_actual, red_nominal,
-                                                ms_red);
-    report.core_energy_j += red_energy_j;
-    account_phase(red_actual);
-    note_phase(red_actual, red_energy_j);
-    trace_phase("reduce", red_actual.makespan_s);
+    run_parallel_phase(profile.phases.map, Phase::kMap, "map",
+                       report.phases.map_s);
+    run_parallel_phase(profile.phases.reduce, Phase::kReduce, "reduce",
+                       report.phases.reduce_s);
 
     // Merge (serial, master).
     const double t_merge =
@@ -462,22 +454,22 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
   // phase's own rate, measured energy/flit, V^2 factor and pre-stall wall
   // time (traffic only flows while cores make progress).
   double net_v2_factor = 1.0;
+  std::vector<std::size_t> quadrants;
   if (built.has_vfi) {
-    net_v2_factor =
-        vfi_network_v2_factor(built.node_traffic, winoc::quadrant_clusters(),
-                              island_vf, table_->max().voltage_v);
+    quadrants = winoc::quadrant_clusters();
+    net_v2_factor = vfi_network_v2_factor(built.node_traffic, quadrants,
+                                          island_vf, table_->max().voltage_v);
   }
   for (std::size_t p = 0; p < workload::kPhaseCount; ++p) {
     PhaseResult& pr = report.phase_results[p];
     if (!pr.evaluated) continue;
     double v2_p = 1.0;
     if (built.has_vfi) {
-      v2_p = vfi_network_v2_factor(plans[p].node_traffic,
-                                   winoc::quadrant_clusters(), island_vf,
-                                   table_->max().voltage_v);
+      v2_p = vfi_network_v2_factor(plans[p].node_traffic, quadrants,
+                                   island_vf, table_->max().voltage_v);
     }
-    const double flits_p = pr.rate_packets_per_cycle *
-                           params.network_clock_hz * pr.time_s *
+    const double flits_p = pr.rate_packets_per_cycle * kNetworkClockHz *
+                           pr.time_s *
                            static_cast<double>(profile.packet_flits);
     pr.net_dynamic_j = pr.net.energy_per_flit_j * flits_p * v2_p;
     report.net_dynamic_j += pr.net_dynamic_j;

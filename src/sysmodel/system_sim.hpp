@@ -151,8 +151,9 @@ class FullSystemSim {
   /// Simulate `profile` on the platform described by `params`, one NoC
   /// evaluation per planned phase (see PhasePlan).  A profile without phase
   /// traffic runs exactly as its uniform twin: the same profile with its
-  /// whole-run matrix in every phase slot, weight 1/4 each and
-  /// phase_window_scale = 1 — one simulation and three memo hits.
+  /// whole-run matrix in every phase slot, weight 1/4 each, run with twice
+  /// the sim_cycles so its half-length phase windows match the full window
+  /// — one simulation and three memo hits.
   /// `baselines`: the per-phase NVFI-mesh latencies (see
   /// phase_baselines()).  A zero entry — every entry by default — uses this
   /// run's own latency, which is correct when params.kind == kNvfiMesh.

@@ -13,6 +13,10 @@ namespace vfimr::sysmodel {
 
 namespace {
 
+/// Cap on the task lifecycle spans one phase emits; phases with more tasks
+/// keep counting in the metrics but stop adding trace spans past the cap.
+constexpr std::uint64_t kMaxTaskEventsPerPhase = 4'096;
+
 /// Resolved telemetry state for one simulate_phase call.  All pointers null
 /// when the caller passed no sink, so every hook below is one pointer test.
 struct PhaseTele {
@@ -43,7 +47,7 @@ struct PhaseTele {
     tele.deaths = &sink.metrics().counter(pt->label + ".sys.core_failures");
     tele.phase = pt->phase;
     tele.t0 = pt->t0_us;
-    tele.span_budget = sink.config().max_task_events_per_phase;
+    tele.span_budget = kMaxTaskEventsPerPhase;
     return tele;
   }
 };

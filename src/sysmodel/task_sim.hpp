@@ -94,9 +94,9 @@ std::vector<SimTask> materialize_tasks(const workload::TaskSet& spec,
 /// places the phase start on that axis (phases of one run chain end to end).
 /// `process` groups the per-core tracks in the trace viewer (one Chrome
 /// process per system under test, e.g. "Kmeans / VFI WiNoC"); `label`
-/// prefixes the registry metric names.  Span volume per call is capped by
-/// TelemetryConfig::max_task_events_per_phase — metrics keep counting past
-/// the cap.  Passing nullptr (or a null sink) is the untraced fast path.
+/// prefixes the registry metric names.  Span volume per call is capped at
+/// 4096 task events — metrics keep counting past the cap.  Passing nullptr
+/// (or a null sink) is the untraced fast path.
 struct PhaseTelemetry {
   telemetry::TelemetrySink* sink = nullptr;
   std::string process = "system";

@@ -6,43 +6,19 @@
 // fast-path A/B and fault-replay byte-identity guarantees are regression
 // tested with the sink both attached and absent.
 
-#include <cstdint>
-
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace vfimr::telemetry {
 
-struct TelemetryConfig {
-  /// Trace one NoC packet journey per this many packet ids (1 = every
-  /// packet).  Sampling bounds trace volume: a 60k-cycle full-system run
-  /// injects hundreds of thousands of packets per network.
-  std::uint64_t noc_packet_sample_every = 64;
-  /// Hard cap on buffered trace events across all threads (see Tracer).
-  std::uint64_t max_trace_events = 4'000'000;
-  /// Per-phase cap on task lifecycle events emitted by the task-level
-  /// simulator; phases with more tasks keep counting in the metrics but
-  /// stop adding trace spans past the cap.
-  std::uint64_t max_task_events_per_phase = 4'096;
-  /// Epoch width (simulated seconds) for the per-application utilization /
-  /// power time series the full-system simulator records at phase
-  /// boundaries.  The cluster tier picks its own epoch (ObsConfig).
-  double sys_timeseries_epoch_s = 0.25;
-};
-
 class TelemetrySink {
  public:
-  explicit TelemetrySink(TelemetryConfig config = {})
-      : config_{config}, tracer_{config.max_trace_events} {}
-
-  const TelemetryConfig& config() const { return config_; }
   MetricsRegistry& metrics() { return metrics_; }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
  private:
-  TelemetryConfig config_;
   MetricsRegistry metrics_;
   Tracer tracer_;
 };

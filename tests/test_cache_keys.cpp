@@ -191,10 +191,6 @@ std::vector<Mutation> value_mutations() {
       [](Inputs& in) { in.params.vfi.anneal.seed += 1; });
   add("params.vfi.anneal.restarts",
       [](Inputs& in) { in.params.vfi.anneal.restarts += 1; });
-  add("params.network_clock_hz",
-      [](Inputs& in) { in.params.network_clock_hz *= 2.0; });
-  add("params.router_pipeline_cycles",
-      [](Inputs& in) { in.params.router_pipeline_cycles += 1; });
   add("params.vfi_stealing", [](Inputs& in) {
     in.params.vfi_stealing = StealingPolicy::kVfiHardCap;
   });
@@ -205,14 +201,8 @@ std::vector<Mutation> value_mutations() {
   add("params.sim_cycles", [](Inputs& in) { in.params.sim_cycles += 1; });
   add("params.drain_cycles", [](Inputs& in) { in.params.drain_cycles += 1; });
   add("params.traffic_seed", [](Inputs& in) { in.params.traffic_seed += 1; });
-  add("params.phase_window_scale",
-      [](Inputs& in) { in.params.phase_window_scale = 0.75; });
 
   // SimConfig.
-  add("params.noc_sim.wire_buffer_depth",
-      [](Inputs& in) { in.params.noc_sim.wire_buffer_depth += 1; });
-  add("params.noc_sim.wi_buffer_depth",
-      [](Inputs& in) { in.params.noc_sim.wi_buffer_depth += 1; });
   add("params.noc_sim.node_cluster",
       [](Inputs& in) { in.params.noc_sim.node_cluster[2] = 0; });
   add("params.noc_sim.node_cluster.size",
@@ -221,12 +211,6 @@ std::vector<Mutation> value_mutations() {
       [](Inputs& in) { in.params.noc_sim.sync_penalty_cycles += 1; });
   add("params.noc_sim.reference_stepping",
       [](Inputs& in) { in.params.noc_sim.reference_stepping = true; });
-  add("params.noc_sim.fault_max_retries",
-      [](Inputs& in) { in.params.noc_sim.fault_max_retries += 1; });
-  add("params.noc_sim.fault_backoff_base_cycles",
-      [](Inputs& in) { in.params.noc_sim.fault_backoff_base_cycles += 1; });
-  add("params.noc_sim.fault_reroute_wireless_cost",
-      [](Inputs& in) { in.params.noc_sim.fault_reroute_wireless_cost += 0.5; });
   add("params.noc_sim.faults.size", [](Inputs& in) {
     in.params.noc_sim.faults.add({NocFaultKind::kRouter, 7, 300, 400});
   });
@@ -421,7 +405,6 @@ TEST(PlatformCacheKey, MissesOnDesignInputsHitsOnEverythingElse) {
        }},
       {"params.noc_sim",
        [](PlatformCase& c) {
-         c.params.noc_sim.wire_buffer_depth += 1;
          c.params.noc_sim.sync_penalty_cycles += 1;
          c.params.noc_sim.faults.add({faults::NocFaultKind::kLink, 3, 1, 2});
        }},
@@ -430,12 +413,6 @@ TEST(PlatformCacheKey, MissesOnDesignInputsHitsOnEverythingElse) {
        [](PlatformCase& c) {
          c.params.vfi_stealing = StealingPolicy::kPhoenixDefault;
        }},
-      {"params.phase_window_scale",
-       [](PlatformCase& c) { c.params.phase_window_scale = 0.75; }},
-      {"params.network_clock_hz",
-       [](PlatformCase& c) { c.params.network_clock_hz *= 2.0; }},
-      {"params.router_pipeline_cycles",
-       [](PlatformCase& c) { c.params.router_pipeline_cycles += 1; }},
       {"params.telemetry",
        [&](PlatformCase& c) {
          c.params.telemetry = &sink;
@@ -551,12 +528,6 @@ TEST(NetworkEvaluatorKey, MissesOnNocInputsHitsOnTaskSideKnobs) {
        [](NocCase& c) { c.params.sim_cycles += 1; }},
       {"params.drain_cycles", &platform,
        [](NocCase& c) { c.params.drain_cycles += 1; }},
-      {"params.router_pipeline_cycles", &platform,
-       [](NocCase& c) { c.params.router_pipeline_cycles += 1; }},
-      {"params.noc_sim.wire_buffer_depth", &platform,
-       [](NocCase& c) { c.params.noc_sim.wire_buffer_depth += 1; }},
-      {"params.noc_sim.wi_buffer_depth", &platform,
-       [](NocCase& c) { c.params.noc_sim.wi_buffer_depth += 1; }},
       {"params.noc_sim.node_cluster", &platform,
        [](NocCase& c) {
          c.params.noc_sim.node_cluster = winoc::quadrant_clusters();
@@ -565,14 +536,6 @@ TEST(NetworkEvaluatorKey, MissesOnNocInputsHitsOnTaskSideKnobs) {
        [](NocCase& c) { c.params.noc_sim.sync_penalty_cycles += 1; }},
       {"params.noc_sim.reference_stepping", &platform,
        [](NocCase& c) { c.params.noc_sim.reference_stepping = true; }},
-      {"params.noc_sim.fault_max_retries", &platform,
-       [](NocCase& c) { c.params.noc_sim.fault_max_retries += 1; }},
-      {"params.noc_sim.fault_backoff_base_cycles", &platform,
-       [](NocCase& c) { c.params.noc_sim.fault_backoff_base_cycles += 1; }},
-      {"params.noc_sim.fault_reroute_wireless_cost", &platform,
-       [](NocCase& c) {
-         c.params.noc_sim.fault_reroute_wireless_cost += 0.5;
-       }},
       {"params.noc_sim.faults", &platform,
        [](NocCase& c) {
          c.params.noc_sim.faults.add({faults::NocFaultKind::kLink, 3, 100,
@@ -617,10 +580,6 @@ TEST(NetworkEvaluatorKey, MissesOnNocInputsHitsOnTaskSideKnobs) {
        [](NocCase& c) {
          c.params.vfi_stealing = StealingPolicy::kVfiHardCap;
        }},
-      {"params.network_clock_hz", &platform,
-       [](NocCase& c) { c.params.network_clock_hz *= 2.0; }},
-      {"params.phase_window_scale", &platform,
-       [](NocCase& c) { c.params.phase_window_scale = 0.75; }},
       {"params.design_knobs", &platform,
        [](NocCase& c) {
          c.params.placement = winoc::PlacementStrategy::kMinHopCount;
@@ -702,10 +661,6 @@ TEST(AnalyticalModelKey, KeyedOnWindowClustersAndFaultsNotTraffic) {
            [](NocCase& c) {
              c.params.noc_sim.node_cluster = winoc::quadrant_clusters();
              c.params.noc_sim.sync_penalty_cycles += 1;
-           }},
-          {"fault_reroute_wireless_cost",
-           [](NocCase& c) {
-             c.params.noc_sim.fault_reroute_wireless_cost += 0.5;
            }},
           {"faults",
            [](NocCase& c) {

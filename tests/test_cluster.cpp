@@ -51,7 +51,9 @@ TEST(ClusterArrivals, PoissonIsDeterministicAndSorted) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].time_s, b[i].time_s) << i;
     EXPECT_EQ(a[i].app, b[i].app) << i;
-    if (i > 0) EXPECT_GE(a[i].time_s, a[i - 1].time_s) << i;
+    if (i > 0) {
+      EXPECT_GE(a[i].time_s, a[i - 1].time_s) << i;
+    }
   }
   // Mean interarrival ~ 1/rate (law of large numbers; generous tolerance).
   const double mean_gap = a.back().time_s / static_cast<double>(a.size() - 1);

@@ -291,8 +291,8 @@ TEST_F(ClusterObsTest, MonitorsEngageUnderOverloadAndTightCap) {
 }
 
 TEST_F(ClusterObsTest, MonitorsStayDisabledWithoutTargets) {
-  // No deadlines, no SLA latency target, no power cap: both monitors must
-  // report disabled (epochs still counted, zero breaches).
+  // No deadlines and no power cap: both monitors must report disabled
+  // (epochs still counted, zero breaches).
   const auto arrivals = poisson_jobs(500, 0.6, 2);
   telemetry::TelemetrySink sink;
   FleetConfig fleet;
@@ -319,11 +319,11 @@ TEST_F(ClusterObsTest, SeriesTotalsMatchTheReport) {
   fleet.telemetry = &sink;
   fleet.obs.enabled = true;
   fleet.obs.label = "t13";
-  fleet.obs.epoch_s = 0.5 * service_s();
 
   const ClusterReport r = ClusterSim::run(arrivals, fleet, matrix());
   ASSERT_NE(r.obs, nullptr);
-  EXPECT_EQ(r.obs->epoch_s, 0.5 * service_s());
+  // The epoch is the matrix's mean service time: E itself on one cell.
+  EXPECT_EQ(r.obs->epoch_s, service_s());
   ASSERT_EQ(r.obs->series.size(), 5u);
 
   bool saw_goodput = false;
@@ -406,33 +406,11 @@ TEST_F(ClusterObsTest, ValidateRejectsBadObsKnobsOnlyWhenEnabled) {
 
   FleetConfig bad = fleet;
   bad.obs.enabled = true;
-  bad.obs.epoch_s = -1.0;
-  EXPECT_THROW(bad.validate(), RequirementError);
-
-  bad = fleet;
-  bad.obs.enabled = true;
-  bad.obs.sla_window_epochs = 0;
-  EXPECT_THROW(bad.validate(), RequirementError);
-
-  bad = fleet;
-  bad.obs.enabled = true;
-  bad.obs.sla_burn_budget = 0.0;
-  EXPECT_THROW(bad.validate(), RequirementError);
-
-  bad = fleet;
-  bad.obs.enabled = true;
-  bad.obs.power_proximity = 1.5;
-  EXPECT_THROW(bad.validate(), RequirementError);
-
-  bad = fleet;
-  bad.obs.enabled = true;
   bad.obs.label.clear();
   EXPECT_THROW(bad.validate(), RequirementError);
 
-  // The same malformed knobs are inert while obs is disabled.
+  // The same malformed label is inert while obs is disabled.
   FleetConfig off = fleet;
-  off.obs.epoch_s = -1.0;
-  off.obs.sla_window_epochs = 0;
   off.obs.label.clear();
   EXPECT_NO_THROW(off.validate());
 }

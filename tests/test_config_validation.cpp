@@ -9,8 +9,6 @@
 #include "cluster/fleet_faults.hpp"
 #include "cluster/serving.hpp"
 #include "common/require.hpp"
-#include "noc/network.hpp"
-#include "noc/routing.hpp"
 #include "noc/topology.hpp"
 #include "power/vf_table.hpp"
 #include "sysmodel/system_sim.hpp"
@@ -54,58 +52,12 @@ TEST(ConfigValidation, MeshRejectsZeroDimensions) {
   expect_requirement([] { noc::make_mesh(4, 0); }, "must be positive");
 }
 
-TEST(ConfigValidation, NetworkRejectsZeroBufferDepths) {
-  const noc::Topology topo = noc::make_mesh(2, 2);
-  const noc::XyRouting routing{topo.graph, 2, 2};
-  expect_requirement(
-      [&] {
-        noc::SimConfig cfg;
-        cfg.wire_buffer_depth = 0;
-        noc::Network net{topo, routing, cfg};
-      },
-      "wire_buffer_depth");
-  expect_requirement(
-      [&] {
-        noc::SimConfig cfg;
-        cfg.wi_buffer_depth = 0;
-        noc::Network net{topo, routing, cfg};
-      },
-      "wi_buffer_depth");
-}
-
 TEST(ConfigValidation, SystemSimRejectsBadNetworkParams) {
   const auto profile = workload::make_profile(workload::App::kWC);
   const sysmodel::FullSystemSim sim;
-
   sysmodel::PlatformParams params;
-  params.network_clock_hz = 0.0;
-  expect_requirement([&] { sim.run(profile, params); }, "network_clock_hz");
-
-  params = sysmodel::PlatformParams{};
-  params.network_clock_hz = -1.0e9;
-  expect_requirement([&] { sim.run(profile, params); }, "network_clock_hz");
-
-  params = sysmodel::PlatformParams{};
-  params.router_pipeline_cycles = 0;
-  expect_requirement([&] { sim.run(profile, params); },
-                     "router_pipeline_cycles");
-
-  params = sysmodel::PlatformParams{};
   params.sim_cycles = 0;
   expect_requirement([&] { sim.run(profile, params); }, "sim_cycles");
-}
-
-TEST(ConfigValidation, SystemSimRejectsBadClockOnAWarmSim) {
-  // The clock is not part of the NoC memo key: on a warm sim every
-  // evaluation below is a hit, so the check must not sit behind them.
-  const auto profile = workload::make_profile(workload::App::kWC);
-  const sysmodel::FullSystemSim sim;
-  sysmodel::PlatformParams params;
-  params.sim_cycles = 2'000;
-  params.drain_cycles = 20'000;
-  (void)sim.run(profile, params);
-  params.network_clock_hz = 0.0;
-  expect_requirement([&] { sim.run(profile, params); }, "network_clock_hz");
 }
 
 TEST(ConfigValidation, FleetConfigRejectsStructurallyInvalidFleets) {

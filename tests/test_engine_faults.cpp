@@ -27,11 +27,18 @@ namespace {
 
 using CountEngine = Engine<std::string, std::uint64_t>;
 
+SchedulerConfig scheduler_config(std::size_t workers,
+                                 const faults::WorkerFaultPlan* plan) {
+  SchedulerConfig c;
+  c.workers = workers;
+  c.faults = plan;
+  return c;
+}
+
 CountEngine::Options opts(std::size_t workers,
                           const faults::WorkerFaultPlan* plan) {
   CountEngine::Options o;
-  o.scheduler.workers = workers;
-  o.scheduler.faults = plan;
+  o.scheduler = scheduler_config(workers, plan);
   return o;
 }
 
@@ -51,8 +58,7 @@ std::map<std::string, std::uint64_t> run_counts(
 TEST(SchedulerFaults, DeadWorkersTasksAreReexecuted) {
   faults::WorkerFaultPlan plan;
   plan.deaths = {{0, 2}, {2, 0}};
-  TaskScheduler sched{
-      SchedulerConfig{.workers = 4, .faults = &plan}};
+  TaskScheduler sched{scheduler_config(4, &plan)};
   std::vector<std::atomic<int>> runs(32);
   // Slow bodies keep the pool alive past thread startup so the scheduled
   // picks actually happen; a death can still miss if the pool drains first,
@@ -76,8 +82,7 @@ TEST(SchedulerFaults, DeadWorkersTasksAreReexecuted) {
 TEST(SchedulerFaults, AllButOneWorkerMayDie) {
   faults::WorkerFaultPlan plan;
   for (std::size_t w = 1; w < 6; ++w) plan.deaths.push_back({w, 0});
-  TaskScheduler sched{
-      SchedulerConfig{.workers = 6, .faults = &plan}};
+  TaskScheduler sched{scheduler_config(6, &plan)};
   std::vector<std::atomic<int>> runs(20);
   const auto stats = sched.run(20, [&](std::size_t task, std::size_t) {
     runs[task].fetch_add(1, std::memory_order_relaxed);
@@ -97,8 +102,7 @@ TEST(SchedulerFaults, StragglersAreSpeculativelyReissued) {
   faults::WorkerFaultPlan plan;  // no deaths, aggressive speculation
   plan.straggler_multiple = 1.0;
   plan.straggler_min_seconds = 1e-5;
-  TaskScheduler sched{
-      SchedulerConfig{.workers = 4, .faults = &plan}};
+  TaskScheduler sched{scheduler_config(4, &plan)};
   std::atomic<int> straggler_runs{0};
   const auto stats = sched.run(24, [&](std::size_t task, std::size_t) {
     if (task == 0) {
@@ -116,8 +120,7 @@ TEST(SchedulerFaults, FaultFreePlanMatchesLegacyStats) {
   // execute every task exactly once, like a run without a plan.
   faults::WorkerFaultPlan plan;
   plan.straggler_multiple = 0.0;  // disables speculation
-  TaskScheduler sched{
-      SchedulerConfig{.workers = 3, .faults = &plan}};
+  TaskScheduler sched{scheduler_config(3, &plan)};
   std::vector<std::atomic<int>> runs(30);
   const auto stats = sched.run(30, [&](std::size_t task, std::size_t) {
     runs[task].fetch_add(1, std::memory_order_relaxed);
@@ -138,10 +141,7 @@ TEST(SchedulerFaults, ZeroStragglerMultipleNeverSpeculates) {
   // three idle workers must still leave it to run once.
   faults::WorkerFaultPlan plan;
   plan.straggler_multiple = 0.0;
-  SchedulerConfig cfg;
-  cfg.workers = 4;
-  cfg.faults = &plan;
-  TaskScheduler sched{cfg};
+  TaskScheduler sched{scheduler_config(4, &plan)};
   std::atomic<int> slow_runs{0};
   const auto stats = sched.run(1, [&](std::size_t, std::size_t) {
     slow_runs.fetch_add(1, std::memory_order_relaxed);

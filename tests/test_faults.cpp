@@ -66,7 +66,9 @@ TEST(FaultGenerators, NocScheduleRespectsRatesAndHorizon) {
     EXPECT_EQ(f.kind, NocFaultKind::kLink);
     EXPECT_LT(f.id, 24u);
     EXPECT_LT(f.at_cycle, 10'000u);
-    if (f.transient()) EXPECT_GT(f.until_cycle, f.at_cycle);
+    if (f.transient()) {
+      EXPECT_GT(f.until_cycle, f.at_cycle);
+    }
   }
   // Empty candidate list: that kind is silently skipped.
   FaultSpec wiy;

@@ -10,7 +10,8 @@
 //    the run on a fresh sim.
 //  * A profile without phase traffic runs exactly as its uniform twin (all
 //    four phase matrices equal to the whole-run aggregate, weight 1/4 each,
-//    phase_window_scale = 1): the two reports encode to the same bytes.
+//    twice the sim_cycles so its half-length phase windows equal the full
+//    window): the two reports encode to the same bytes.
 
 #include <gtest/gtest.h>
 
@@ -179,7 +180,8 @@ TEST(NetEval, ProfileWithoutPhaseTrafficRunsAsItsUniformTwin) {
   ASSERT_FALSE(whole_run.phase_resolved());
 
   // ...runs exactly as its uniform twin: the whole-run matrix in every
-  // phase slot, weight 1/4 each, evaluated in the full injection window.
+  // phase slot, weight 1/4 each, evaluated in the full injection window
+  // (a phase-resolved profile's phase window is half its sim_cycles).
   workload::AppProfile twin = base;
   for (std::size_t p = 0; p < workload::kPhaseCount; ++p) {
     twin.phase_traffic[p] = base.traffic;
@@ -196,7 +198,7 @@ TEST(NetEval, ProfileWithoutPhaseTrafficRunsAsItsUniformTwin) {
         params.faults.seed = 41;
       }
       PlatformParams twin_params = params;
-      twin_params.phase_window_scale = 1.0;
+      twin_params.sim_cycles = 2 * params.sim_cycles;
       // A fixed baseline exercises the mem_scale != 1 coupling.  Each side
       // runs on its own sim: the two share every memo key, so on one sim
       // the twin would replay the first run's evaluations.

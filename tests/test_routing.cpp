@@ -144,14 +144,16 @@ TEST(UpDownRoutingTest, WirelessCostSteersLongRoutesOnly) {
   for (graph::NodeId v = 0; v + 1 < 6; ++v) t.add_wire(v, v + 1);
   t.add_wireless(0, 5);
 
-  // Root pinned mid-line so both the wired and the wireless route are
-  // up*/down*-legal and the cost decides.
+  // The root (max wired degree, ties to the most central node) sits
+  // mid-line, so both the wired and the wireless route are up*/down*-legal
+  // and the cost decides.
   // Cheap wireless (cost 1): shortcut taken for 0 -> 5.
-  const UpDownRouting cheap{t.graph, 1.0, 2};
+  const UpDownRouting cheap{t.graph, 1.0};
+  ASSERT_EQ(cheap.root(), 2u);
   EXPECT_EQ(cheap.route_hops(0, 5), 1u);
 
   // Expensive wireless (cost 10 > 5 wire hops): shortcut avoided.
-  const UpDownRouting costly{t.graph, 10.0, 2};
+  const UpDownRouting costly{t.graph, 10.0};
   EXPECT_EQ(costly.route_hops(0, 5), 5u);
 }
 

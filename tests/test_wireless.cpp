@@ -53,20 +53,17 @@ TEST(Wireless, IntraIslandAvoidsChannel) {
 TEST(Wireless, OversizedPacketRejectedAtWiBoundary) {
   WirelessFixture f;
   const UpDownRouting routing{f.topo.graph, 1.0};
-  SimConfig cfg;
-  cfg.wi_buffer_depth = 4;
-  Network net{f.topo, routing, cfg, f.wireless};
-  net.inject(0, 5, 6);  // 6 flits > 4-deep WI buffer
+  Network net{f.topo, routing, {}, f.wireless};
+  static_assert(kWiBufferDepth == 8);
+  net.inject(0, 5, 9);  // 9 flits > 8-deep WI buffer
   EXPECT_THROW(net.drain(200), RequirementError);
 }
 
 TEST(Wireless, MaxSizePacketExactlyFits) {
   WirelessFixture f;
   const UpDownRouting routing{f.topo.graph, 1.0};
-  SimConfig cfg;
-  cfg.wi_buffer_depth = 8;
-  Network net{f.topo, routing, cfg, f.wireless};
-  net.inject(0, 5, 8);
+  Network net{f.topo, routing, {}, f.wireless};
+  net.inject(0, 5, kWiBufferDepth);
   ASSERT_TRUE(net.drain(400));
   EXPECT_EQ(net.metrics().packets_ejected, 1u);
 }
