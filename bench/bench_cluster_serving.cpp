@@ -4,8 +4,8 @@
 // scheduler policy.  Emits the SLA surface (p50/p99/p999 latency, energy
 // per job, admission counts) to results/cluster_serving.csv and the
 // CI-gated headline metrics (serving throughput, 1-vs-N-worker SLA
-// bit-identity, quantile monotonicity, analytical-vs-cycle spot check) to
-// a flat metric JSON.
+// bit-identity, quantile monotonicity, sketch-vs-exact quantile error,
+// analytical-vs-cycle spot check) to a flat metric JSON.
 //
 //   ./build/bench/bench_cluster_serving [--small]
 //       [--fidelity=cycle|analytical|auto] [OUT.json]
@@ -514,6 +514,14 @@ int main(int argc, char** argv) {
           static_cast<double>(o.tail.size());
       m["bench_cluster.obs.p99_threshold_s"] = o.p99_threshold_s;
       m["bench_cluster.obs.p999_threshold_s"] = o.p999_threshold_s;
+      // The SLA percentiles come from the loop's latency sketch; the
+      // observer's thresholds are exact order statistics over the same
+      // completions (tools/check_cluster.py bounds the gap by alpha).
+      m["bench_cluster.check.quantile_rel_err"] = std::max(
+          std::abs(traced.fleet.p99.value() - o.p99_threshold_s) /
+              o.p99_threshold_s,
+          std::abs(traced.fleet.p999.value() - o.p999_threshold_s) /
+              o.p999_threshold_s);
       m["bench_cluster.obs.sla_burn_breach_fraction"] =
           o.sla_burn.breach_fraction();
       m["bench_cluster.obs.sla_burn_first_breach_s"] =

@@ -7,18 +7,6 @@
 
 namespace vfimr::cluster {
 
-const char* instance_state_name(InstanceState state) {
-  switch (state) {
-    case InstanceState::kUp:
-      return "up";
-    case InstanceState::kDown:
-      return "down";
-    case InstanceState::kDegraded:
-      return "degraded";
-  }
-  return "?";
-}
-
 namespace {
 
 using Window = std::pair<double, double>;

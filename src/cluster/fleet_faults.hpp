@@ -21,8 +21,6 @@ namespace vfimr::cluster {
 
 enum class InstanceState : std::uint8_t { kUp, kDown, kDegraded };
 
-const char* instance_state_name(InstanceState state);
-
 /// One normalized transition: `instance` enters `state` at `time_s`.
 /// `slowdown` is the service-time multiplier from then on (1 unless
 /// kDegraded; meaningless while kDown).

@@ -12,33 +12,7 @@
 
 namespace vfimr::cluster {
 
-std::string policy_name(SchedulerPolicy policy) {
-  switch (policy) {
-    case SchedulerPolicy::kLeastLoaded: return "least-loaded";
-    case SchedulerPolicy::kEdpGreedy: return "edp";
-  }
-  return "?";
-}
-
-bool parse_policy(const std::string& name, SchedulerPolicy& out) {
-  if (name == "least-loaded") {
-    out = SchedulerPolicy::kLeastLoaded;
-    return true;
-  }
-  if (name == "edp") {
-    out = SchedulerPolicy::kEdpGreedy;
-    return true;
-  }
-  return false;
-}
-
-std::string discipline_name(QueueDiscipline queue) {
-  switch (queue) {
-    case QueueDiscipline::kFifo: return "fifo";
-    case QueueDiscipline::kEarliestDeadline: return "edf";
-  }
-  return "?";
-}
+namespace {
 
 std::string power_cap_name(PowerCapMode mode) {
   switch (mode) {
@@ -49,7 +23,9 @@ std::string power_cap_name(PowerCapMode mode) {
   return "?";
 }
 
-std::string format_quantile(const P2Quantile& q, int digits) {
+}  // namespace
+
+std::string format_quantile(const SlaQuantile& q, int digits) {
   if (q.count() == 0 || std::isnan(q.value())) return "n/a";
   return fmt(q.value(), digits);
 }
@@ -240,13 +216,18 @@ std::uint64_t digest_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-void record_completion(SlaStats& s, double latency_s, double energy_j) {
+void record_completion(SlaStats& s, QuantileSketch& latency_sketch,
+                       double latency_s, double energy_j) {
   ++s.completed;
   s.latency_s.add(latency_s);
   s.energy_j.add(energy_j);
-  s.p50.add(latency_s);
-  s.p99.add(latency_s);
-  s.p999.add(latency_s);
+  latency_sketch.add(latency_s);
+}
+
+void read_quantiles(SlaStats& s, const QuantileSketch& latency_sketch) {
+  s.p50 = SlaQuantile{latency_sketch, 0.50};
+  s.p99 = SlaQuantile{latency_sketch, 0.99};
+  s.p999 = SlaQuantile{latency_sketch, 0.999};
 }
 
 }  // namespace
@@ -324,15 +305,10 @@ ClusterReport ClusterSim::run(const std::vector<JobArrival>& arrivals,
   std::uint64_t completion_seq = 0;
   std::uint64_t timer_seq = 0;
 
-  // Streaming telemetry instruments (cached once; null sink = no-ops).
-  telemetry::MetricsRegistry* metrics =
-      fleet.telemetry != nullptr ? &fleet.telemetry->metrics() : nullptr;
-  telemetry::QuantileMetric* tele_p50 =
-      metrics ? &metrics->quantile("cluster.latency_s.p50", 0.50) : nullptr;
-  telemetry::QuantileMetric* tele_p99 =
-      metrics ? &metrics->quantile("cluster.latency_s.p99", 0.99) : nullptr;
-  telemetry::QuantileMetric* tele_p999 =
-      metrics ? &metrics->quantile("cluster.latency_s.p999", 0.999) : nullptr;
+  // Completed-job latency, fleet-wide and per app; SlaStats::p50/p99/p999
+  // are read off these once the loop drains.
+  QuantileSketch fleet_latency;
+  std::vector<QuantileSketch> app_latency(matrix.apps());
 
   // Optional serving-tier observer (DESIGN.md §15).  Opt-in on top of the
   // sink because span storage scales with admitted jobs.  Every hook below
@@ -627,9 +603,10 @@ ClusterReport ClusterSim::run(const std::vector<JobArrival>& arrivals,
       job.completed = true;
       job.live[a.slot] = kNone32;
       const double latency = now - job.arrival_s;
-      record_completion(report.fleet, latency, a.actual_energy_j);
-      record_completion(report.per_app[job.app_row], latency,
+      record_completion(report.fleet, fleet_latency, latency,
                         a.actual_energy_j);
+      record_completion(report.per_app[job.app_row],
+                        app_latency[job.app_row], latency, a.actual_energy_j);
       report.latency_hist.add(latency);
       if (job.deadline_abs_s > 0.0 && now > job.deadline_abs_s) {
         ++report.fleet.deadline_misses;
@@ -643,11 +620,6 @@ ClusterReport ClusterSim::run(const std::vector<JobArrival>& arrivals,
       report.completion_digest =
           digest_mix(report.completion_digest, std::bit_cast<std::uint64_t>(now));
       report.horizon_s = std::max(report.horizon_s, now);
-      if (tele_p50 != nullptr) {
-        tele_p50->add(latency);
-        tele_p99->add(latency);
-        tele_p999->add(latency);
-      }
       if (obs != nullptr) {
         obs->on_complete(done.attempt, now, latency, running_power,
                          job.deadline_abs_s > 0.0 && now > job.deadline_abs_s);
@@ -859,13 +831,18 @@ ClusterReport ClusterSim::run(const std::vector<JobArrival>& arrivals,
     try_start(static_cast<std::uint32_t>(p.best), now);
   }
 
+  read_quantiles(report.fleet, fleet_latency);
+  for (std::size_t a = 0; a < matrix.apps(); ++a) {
+    read_quantiles(report.per_app[a], app_latency[a]);
+  }
   report.down_seconds = fleet.faults.down_seconds(report.horizon_s);
   if (obs != nullptr) {
     report.obs = obs->finalize(report.horizon_s, fleet.faults);
   }
 
   // Mirror the final aggregates into the sink.
-  if (metrics != nullptr) {
+  if (fleet.telemetry != nullptr) {
+    telemetry::MetricsRegistry* metrics = &fleet.telemetry->metrics();
     metrics->counter("cluster.jobs_arrived").add(report.fleet.arrived);
     metrics->counter("cluster.jobs_admitted").add(report.fleet.admitted);
     metrics->counter("cluster.jobs_completed").add(report.fleet.completed);
@@ -889,6 +866,11 @@ ClusterReport ClusterSim::run(const std::vector<JobArrival>& arrivals,
     metrics->gauge("cluster.wasted_energy_j").set(report.wasted_energy_j);
     metrics->gauge("cluster.goodput_jobs_per_s")
         .set(report.goodput_jobs_per_s());
+    if (report.fleet.completed > 0) {
+      metrics->gauge("cluster.latency_s.p50").set(report.fleet.p50.value());
+      metrics->gauge("cluster.latency_s.p99").set(report.fleet.p99.value());
+      metrics->gauge("cluster.latency_s.p999").set(report.fleet.p999.value());
+    }
   }
   return report;
 }

@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,24 +57,16 @@ enum class SchedulerPolicy : std::uint8_t {
   kEdpGreedy,
 };
 
-std::string policy_name(SchedulerPolicy policy);
-/// Parses "least-loaded" | "edp" into `out`; false on other spellings.
-bool parse_policy(const std::string& name, SchedulerPolicy& out);
-
 enum class QueueDiscipline : std::uint8_t {
   kFifo,              ///< serve in arrival order
   kEarliestDeadline,  ///< serve by absolute deadline (ties: arrival order)
 };
-
-std::string discipline_name(QueueDiscipline queue);
 
 enum class PowerCapMode : std::uint8_t {
   kNone,
   kShed,   ///< reject at admission when the fleet draw leaves no headroom
   kDelay,  ///< hold the job at its instance until headroom frees up
 };
-
-std::string power_cap_name(PowerCapMode mode);
 
 /// Retry policy for jobs displaced by an instance crash (and for arrivals
 /// that find every instance down).  Deterministic: the k-th re-placement of
@@ -141,6 +134,24 @@ struct FleetConfig {
   void validate() const;
 };
 
+/// One latency percentile of an SlaStats scope, read off the run's
+/// QuantileSketch when the serving loop drains: within
+/// QuantileSketch::kRelativeError of the nearest-rank completed-job latency.
+class SlaQuantile {
+ public:
+  SlaQuantile() = default;
+  SlaQuantile(const QuantileSketch& sketch, double p)
+      : value_{sketch.quantile(p)}, count_{sketch.count()} {}
+
+  /// NaN when nothing completed (print it with format_quantile).
+  double value() const { return value_; }
+  std::uint64_t count() const { return count_; }
+
+ private:
+  double value_ = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t count_ = 0;
+};
+
 /// Latency/energy SLA aggregate (one per app plus one fleet-wide).
 struct SlaStats {
   std::uint64_t arrived = 0;
@@ -162,14 +173,14 @@ struct SlaStats {
   Accumulator latency_s;  ///< sojourn time (completion - arrival)
   Accumulator queue_s;    ///< queueing delay (start - arrival)
   Accumulator energy_j;   ///< platform energy per completed job
-  P2Quantile p50{0.50};
-  P2Quantile p99{0.99};
-  P2Quantile p999{0.999};
+  SlaQuantile p50;
+  SlaQuantile p99;
+  SlaQuantile p999;
 };
 
-/// Report formatting for a streaming quantile: "n/a" when the sampler is
-/// empty (the NaN contract of P2Quantile::value), fixed-point otherwise.
-std::string format_quantile(const P2Quantile& q, int digits = 4);
+/// Report formatting for an SLA percentile: "n/a" when nothing completed,
+/// fixed-point otherwise.
+std::string format_quantile(const SlaQuantile& q, int digits = 4);
 
 struct ClusterReport {
   SlaStats fleet;

@@ -182,82 +182,54 @@ double Histogram::bucket_lo(std::size_t i) const {
 
 double Histogram::bucket_hi(std::size_t i) const { return bucket_lo(i + 1); }
 
-P2Quantile::P2Quantile(double p) : p_{p} {
-  if (!(p > 0.0 && p < 1.0)) {
-    throw std::invalid_argument("P2Quantile needs p in (0, 1)");
-  }
-  dpos_[0] = 0.0;
-  dpos_[1] = p / 2.0;
-  dpos_[2] = p;
-  dpos_[3] = (1.0 + p) / 2.0;
-  dpos_[4] = 1.0;
-}
+namespace {
+constexpr double kSketchGamma = (1.0 + QuantileSketch::kRelativeError) /
+                                (1.0 - QuantileSketch::kRelativeError);
+const double kSketchLogGamma = std::log(kSketchGamma);
+}  // namespace
 
-void P2Quantile::add(double x) {
-  if (n_ < 5) {
-    q_[n_++] = x;
-    if (n_ == 5) {
-      std::sort(q_, q_ + 5);
-      for (int i = 0; i < 5; ++i) pos_[i] = static_cast<double>(i + 1);
-      desired_[0] = 1.0;
-      desired_[1] = 1.0 + 2.0 * p_;
-      desired_[2] = 1.0 + 4.0 * p_;
-      desired_[3] = 3.0 + 2.0 * p_;
-      desired_[4] = 5.0;
-    }
-    return;
+void QuantileSketch::add(double x) {
+  if (!std::isfinite(x)) {
+    throw std::invalid_argument("QuantileSketch needs finite samples");
   }
   ++n_;
-
-  // Locate the cell containing x, extending the extreme markers if needed.
-  int k;
-  if (x < q_[0]) {
-    q_[0] = x;
-    k = 0;
-  } else if (x >= q_[4]) {
-    q_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= q_[k + 1]) ++k;
+  if (x <= 0.0) {
+    ++non_positive_;
+    return;
   }
-  for (int i = k + 1; i < 5; ++i) pos_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += dpos_[i];
-
-  // Adjust interior markers toward their desired positions.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - pos_[i];
-    if ((d >= 1.0 && pos_[i + 1] - pos_[i] > 1.0) ||
-        (d <= -1.0 && pos_[i - 1] - pos_[i] < -1.0)) {
-      const double s = d >= 0.0 ? 1.0 : -1.0;
-      // Piecewise-parabolic prediction; fall back to linear when it would
-      // break marker monotonicity.
-      const double np = pos_[i] + s;
-      const double parabolic =
-          q_[i] + s / (pos_[i + 1] - pos_[i - 1]) *
-                      ((pos_[i] - pos_[i - 1] + s) * (q_[i + 1] - q_[i]) /
-                           (pos_[i + 1] - pos_[i]) +
-                       (pos_[i + 1] - pos_[i] - s) * (q_[i] - q_[i - 1]) /
-                           (pos_[i] - pos_[i - 1]));
-      if (q_[i - 1] < parabolic && parabolic < q_[i + 1]) {
-        q_[i] = parabolic;
-      } else {
-        const int j = s > 0.0 ? i + 1 : i - 1;
-        q_[i] += s * (q_[j] - q_[i]) / (pos_[j] - pos_[i]);
-      }
-      pos_[i] = np;
-    }
+  const auto key =
+      static_cast<std::int32_t>(std::ceil(std::log(x) / kSketchLogGamma));
+  if (counts_.empty()) {
+    min_key_ = key;
+    counts_.push_back(0);
+  } else if (key < min_key_) {
+    counts_.insert(counts_.begin(), static_cast<std::size_t>(min_key_ - key),
+                   0);
+    min_key_ = key;
+  } else if (static_cast<std::size_t>(key - min_key_) >= counts_.size()) {
+    counts_.resize(static_cast<std::size_t>(key - min_key_) + 1, 0);
   }
+  ++counts_[static_cast<std::size_t>(key - min_key_)];
 }
 
-double P2Quantile::value() const {
-  // NaN, not 0.0: an empty sampler has no quantile, and callers that print
-  // SLA percentiles must be able to tell "no samples" from a true zero.
+double QuantileSketch::quantile(double p) const {
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw std::invalid_argument("quantile p out of range");
+  }
   if (n_ == 0) return std::numeric_limits<double>::quiet_NaN();
-  if (n_ >= 5) return q_[2];
-  // Exact small-sample quantile over the stored observations.
-  std::vector<double> xs(q_, q_ + n_);
-  return percentile(std::move(xs), p_ * 100.0);
+  // 0-based nearest rank, the expression the serving tier's exact
+  // order-statistic thresholds use (cluster/observer.cpp).
+  auto rank =
+      static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(n_)));
+  if (rank > 0) --rank;
+  if (rank < non_positive_) return 0.0;
+  // The buckets hold n_ - non_positive_ > rank - non_positive_ samples, so
+  // the walk stops inside counts_.
+  std::uint64_t below = non_positive_;
+  std::size_t i = 0;
+  while (below + counts_[i] <= rank) below += counts_[i++];
+  const double key = static_cast<double>(min_key_) + static_cast<double>(i);
+  return 2.0 * std::exp(key * kSketchLogGamma) / (kSketchGamma + 1.0);
 }
 
 std::string Histogram::to_string() const {

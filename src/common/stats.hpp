@@ -122,28 +122,33 @@ class Histogram {
   double sum_ = 0.0;
 };
 
-/// P² streaming quantile estimator (Jain & Chlamtac, CACM 1985): tracks a
-/// single quantile in O(1) memory with five markers adjusted by parabolic
-/// interpolation.  Exact for fewer than five samples.  Complements
+/// Streaming quantile sketch with a relative-error bound, in the style of
+/// DDSketch (Masson, Rivetti & Zhao, VLDB 2019).  A positive sample x counts
+/// in the log bucket k = ceil(log x / log gamma), gamma = (1 + alpha) /
+/// (1 - alpha), whose midpoint 2 gamma^k / (gamma + 1) lies within alpha of
+/// every sample in it; non-positive samples share one counter and read back
+/// as 0.  Counts live in a dense vector spanning the smallest to the largest
+/// key seen, so add() is one bucket increment.  Complements
 /// Histogram::quantile when the sample range is not known up front.
-class P2Quantile {
+class QuantileSketch {
  public:
-  explicit P2Quantile(double p);  // p in (0, 1)
+  /// alpha: the relative error of every quantile() estimate.
+  static constexpr double kRelativeError = 0.005;
 
+  /// Throws std::invalid_argument on a non-finite sample.
   void add(double x);
-  /// Current quantile estimate; NaN before the first sample (an empty
-  /// sampler has no quantile — check count() or std::isnan before printing).
-  double value() const;
   std::uint64_t count() const { return n_; }
-  double p() const { return p_; }
+  /// Estimate of the nearest-rank sample sorted[max(ceil(p n), 1) - 1]:
+  /// within kRelativeError of it and non-decreasing in p.  NaN when empty
+  /// (an empty sketch has no quantile); throws std::invalid_argument for p
+  /// outside [0, 1].
+  double quantile(double p) const;
 
  private:
-  double p_;
+  std::vector<std::uint64_t> counts_;  ///< counts_[i]: bucket min_key_ + i
+  std::int32_t min_key_ = 0;
+  std::uint64_t non_positive_ = 0;
   std::uint64_t n_ = 0;
-  double q_[5] = {};        // marker heights
-  double pos_[5] = {};      // actual marker positions (1-based)
-  double desired_[5] = {};  // desired marker positions
-  double dpos_[5] = {};     // desired-position increments per sample
 };
 
 }  // namespace vfimr

@@ -55,20 +55,6 @@ void emit_events(NocFaultKind kind, const std::vector<std::uint32_t>& ids,
   }
 }
 
-}  // namespace
-
-const char* platform_fault_name(PlatformFaultKind kind) {
-  switch (kind) {
-    case PlatformFaultKind::kCrash:
-      return "crash";
-    case PlatformFaultKind::kDegrade:
-      return "degrade";
-  }
-  return "?";
-}
-
-namespace {
-
 /// Candidate stream for one (instance, kind): a unit-rate (1/s) Poisson
 /// process with a thinning mark and a window length drawn per candidate.
 /// Every candidate consumes the same draws whether accepted or not, so the

@@ -126,9 +126,6 @@ enum class PlatformFaultKind : std::uint8_t {
   kDegrade,  ///< instance keeps serving, `slowdown` x slower per job
 };
 
-/// Short human-readable name: "crash" / "degrade".
-const char* platform_fault_name(PlatformFaultKind kind);
-
 /// One failure window of one fleet instance, in serving-tier virtual time
 /// (seconds).  Windows may overlap; cluster::FleetFaultPlan normalizes a set
 /// of windows into a per-instance state timeline.

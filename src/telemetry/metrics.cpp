@@ -57,18 +57,6 @@ HistogramMetric& MetricsRegistry::histogram(const std::string& name, double lo,
   return *slot;
 }
 
-QuantileMetric& MetricsRegistry::quantile(const std::string& name, double p) {
-  std::lock_guard lock{mu_};
-  auto& slot = quantiles_[name];
-  if (!slot) {
-    slot = std::make_unique<QuantileMetric>(p);
-  } else if (slot->p() != p) {
-    throw std::invalid_argument("quantile '" + name +
-                                "' re-registered with different p");
-  }
-  return *slot;
-}
-
 TimeSeries& MetricsRegistry::timeseries(const std::string& name,
                                         double epoch_s) {
   std::lock_guard lock{mu_};
@@ -102,11 +90,6 @@ json::MetricMap MetricsRegistry::snapshot() const {
       out[name + ".p99"] = snap.quantile(0.99);
     }
   }
-  for (const auto& [name, q] : quantiles_) {
-    // An empty quantile has no value (NaN); omit it rather than emit a
-    // bogus number into the flat JSON.
-    if (q->count() > 0) out[name] = q->value();
-  }
   for (const auto& [name, ts] : timeseries_) {
     out[name + ".samples"] = static_cast<double>(ts->samples());
     out[name + ".epochs"] = static_cast<double>(ts->snapshot().size());
@@ -137,9 +120,6 @@ TextTable MetricsRegistry::summary_table() const {
       rows[name + ".p95"] = "n/a";
       rows[name + ".p99"] = "n/a";
     }
-  }
-  for (const auto& [name, q] : quantiles_) {
-    rows[name] = q->count() > 0 ? fmt(q->value(), 6) : "n/a";
   }
   for (const auto& [name, ts] : timeseries_) {
     rows[name + ".samples"] = fmt(static_cast<double>(ts->samples()), 6);

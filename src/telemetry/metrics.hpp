@@ -80,36 +80,6 @@ class HistogramMetric {
   std::atomic<double> sum_{0.0};
 };
 
-/// Streaming quantile (P² estimator, common/stats.hpp) behind a mutex: the
-/// cluster serving tier tracks p50/p99/p999 job latency without storing
-/// samples or knowing the range up front.  Unlike the lock-free instruments
-/// above, adds serialize on the mutex; keep it off per-flit hot paths and
-/// reserve it for per-job-scale events.
-class QuantileMetric {
- public:
-  explicit QuantileMetric(double p) : q_{p} {}
-
-  void add(double x) {
-    std::lock_guard lock{mu_};
-    q_.add(x);
-  }
-  double p() const { return q_.p(); }
-  std::uint64_t count() const {
-    std::lock_guard lock{mu_};
-    return q_.count();
-  }
-  /// NaN before the first sample (see P2Quantile::value) — snapshot() skips
-  /// empty quantiles so NaN never leaks into the flat metric JSON.
-  double value() const {
-    std::lock_guard lock{mu_};
-    return q_.value();
-  }
-
- private:
-  mutable std::mutex mu_;
-  P2Quantile q_;
-};
-
 /// Name -> instrument map.  Lookup/creation takes a mutex; call sites cache
 /// the returned reference (instruments are never destroyed or moved while
 /// the registry lives).
@@ -122,9 +92,6 @@ class MetricsRegistry {
   /// merged data).
   HistogramMetric& histogram(const std::string& name, double lo, double hi,
                              std::size_t bins);
-  /// Creates on first use; later calls must repeat the same p
-  /// (std::invalid_argument otherwise).
-  QuantileMetric& quantile(const std::string& name, double p);
   /// Windowed epoch rollups over simulated seconds; later calls must repeat
   /// the same epoch width (std::invalid_argument otherwise).
   TimeSeries& timeseries(const std::string& name, double epoch_s);
@@ -132,14 +99,11 @@ class MetricsRegistry {
   /// Flat metric map: counters/gauges by name; histograms expand into
   /// name.count / name.mean / name.p50 / name.p95 / name.p99 (the derived
   /// stats are omitted while empty — an absent metric, not a fake zero);
-  /// quantile instruments report their estimate under their own name
-  /// (likewise omitted while empty); time series expand into name.samples /
-  /// name.epochs.
+  /// time series expand into name.samples / name.epochs.
   json::MetricMap snapshot() const;
 
   /// Human-readable per-run summary (sorted by metric name).  Unlike
-  /// snapshot(), empty histogram/quantile stats appear as explicit "n/a"
-  /// rows so a summary never prints a bogus 0 (or NaN) for a metric that
+  /// snapshot(), empty histogram stats appear as explicit "n/a" rows so a summary never prints a bogus 0 (or NaN) for a metric that
   /// received no samples.
   TextTable summary_table() const;
 
@@ -152,7 +116,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
-  std::map<std::string, std::unique_ptr<QuantileMetric>> quantiles_;
   std::map<std::string, std::unique_ptr<TimeSeries>> timeseries_;
 };
 

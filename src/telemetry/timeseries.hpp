@@ -8,8 +8,8 @@
 // commute; double sums are order-sensitive like every other FP reduction,
 // so bit-stable merges feed buckets in a fixed order — see the merge test).
 //
-// Updates take a mutex (like QuantileMetric): epoch records happen at
-// job-scale granularity, never on per-flit hot paths.
+// Updates take a mutex: epoch records happen at job-scale granularity,
+// never on per-flit hot paths.
 
 #include <cstdint>
 #include <map>

@@ -1,7 +1,7 @@
 // Property tests for the streaming statistics added for the telemetry
 // layer: histogram merge across parallel_for-style shards, histogram
-// quantiles against the exact sorted-percentile answer, and the P²
-// streaming quantile estimator.
+// quantiles against the exact sorted-percentile answer, and the
+// log-bucketed QuantileSketch against exact nearest-rank order statistics.
 
 #include "common/stats.hpp"
 
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -97,85 +98,122 @@ TEST(PropStats, HistogramQuantileWithinOneBucketOfExact) {
   });
 }
 
-TEST(PropStats, P2MatchesExactBelowFiveSamples) {
-  test::for_each_seed(10, [](Rng& rng, std::uint64_t) {
-    const auto xs = random_samples(rng, 1 + rng.uniform_u64(4));
-    P2Quantile q{0.5};
-    for (double x : xs) q.add(x);
-    auto sorted = xs;
-    EXPECT_DOUBLE_EQ(q.value(), percentile(sorted, 50.0));
-  });
+/// The nearest-rank sample sorted[max(ceil(p n), 1) - 1] that
+/// QuantileSketch::quantile(p) estimates (sorted must be ascending).
+double nearest_rank(const std::vector<double>& sorted, double p) {
+  auto k = static_cast<std::size_t>(
+      std::ceil(p * static_cast<double>(sorted.size())));
+  if (k > 0) --k;
+  return sorted[k];
 }
 
-TEST(PropStats, P2TracksExactQuantileOnRandomStreams) {
-  test::for_each_seed(20, [](Rng& rng, std::uint64_t) {
-    const std::size_t n = 200 + rng.uniform_u64(5000);
-    const auto xs = random_samples(rng, n);
-    const double range =
-        *std::max_element(xs.begin(), xs.end()) -
-        *std::min_element(xs.begin(), xs.end());
-
-    for (double p : {0.5, 0.9, 0.95}) {
-      P2Quantile q{p};
-      for (double x : xs) q.add(x);
-      EXPECT_EQ(q.count(), xs.size());
-      const double exact = percentile(xs, p * 100.0);
-      // P² is an approximation; 10% of the data range is the documented
-      // engineering tolerance for these stream sizes.
-      EXPECT_NEAR(q.value(), exact, 0.10 * range + 1e-9) << "p=" << p;
+/// Checks the sketch's contract over `xs`: at each SLA percentile it is
+/// within alpha of the nearest-rank sample (0 for a non-positive one), and
+/// across a dense p grid it never decreases.
+void expect_sketch_tracks(const std::vector<double>& xs, Rng& rng) {
+  QuantileSketch q;
+  for (double x : xs) q.add(x);
+  ASSERT_EQ(q.count(), xs.size());
+  auto sorted = xs;
+  std::sort(sorted.begin(), sorted.end());
+  constexpr double kAlpha = QuantileSketch::kRelativeError;
+  for (double p : {0.5, 0.9, 0.99, 0.999}) {
+    const double exact = nearest_rank(sorted, p);
+    const double estimate = q.quantile(p);
+    if (exact > 0.0) {
+      EXPECT_LE(std::abs(estimate - exact) / exact, kAlpha + 1e-9)
+          << "p=" << p << " n=" << xs.size() << " exact=" << exact
+          << " estimate=" << estimate;
+    } else {
+      EXPECT_EQ(estimate, 0.0) << "p=" << p << " exact=" << exact;
     }
+  }
+  std::vector<double> ps{0.0, 0.5, 0.9, 0.99, 0.999, 1.0};
+  for (int i = 0; i < 200; ++i) ps.push_back(rng.uniform());
+  std::sort(ps.begin(), ps.end());
+  for (std::size_t i = 1; i < ps.size(); ++i) {
+    EXPECT_LE(q.quantile(ps[i - 1]), q.quantile(ps[i]))
+        << "p " << ps[i - 1] << " -> " << ps[i];
+  }
+}
+
+TEST(PropStats, SketchTracksNearestRankOnUniformStreams) {
+  test::for_each_seed(20, [](Rng& rng, std::uint64_t) {
+    // From a single sample up, so the lowest nearest ranks are covered.
+    const std::size_t n = 1 + rng.uniform_u64(40'000);
+    const double lo = rng.uniform(1e-3, 10.0);
+    const double spread = rng.uniform(0.1, 100.0);
+    // Some streams carry non-positive samples, which read back as 0.
+    const double non_positive = rng.bernoulli(0.5) ? rng.uniform(0.0, 0.2)
+                                                   : 0.0;
+    std::vector<double> xs(n);
+    for (auto& x : xs) {
+      x = rng.bernoulli(non_positive) ? -rng.uniform(0.0, 1.0)
+                                      : rng.uniform(lo, lo + spread);
+    }
+    expect_sketch_tracks(xs, rng);
   });
 }
 
-TEST(PropStats, P2IsExactOnSortedUniformGrid) {
-  // A deterministic sanity anchor: on 0..999 the true median is ~499.5 and
-  // P² lands within a couple of grid steps even though the input is sorted
-  // (the estimator's worst case).
-  P2Quantile q{0.5};
-  for (int i = 0; i < 1000; ++i) q.add(static_cast<double>(i));
-  EXPECT_NEAR(q.value(), 499.5, 25.0);
-}
-
-TEST(PropStats, P2RejectsInvalidProbability) {
-  EXPECT_THROW(P2Quantile{0.0}, std::invalid_argument);
-  EXPECT_THROW(P2Quantile{1.0}, std::invalid_argument);
-  EXPECT_THROW(P2Quantile{-0.2}, std::invalid_argument);
-}
-
-TEST(PropStats, P2EmptySamplerHasNoValue) {
-  // Regression: value() used to return 0.0 before the first sample, which
-  // reads as "zero latency" in SLA reports.  An empty sampler has no
-  // quantile — NaN, with count() as the cheap emptiness check.
-  P2Quantile q{0.999};
-  EXPECT_EQ(q.count(), 0u);
-  EXPECT_TRUE(std::isnan(q.value()));
-  q.add(1.25);
-  EXPECT_EQ(q.count(), 1u);
-  EXPECT_DOUBLE_EQ(q.value(), 1.25);
-}
-
-TEST(PropStats, P2TailQuantileTracksHeavyTailedStreams) {
+TEST(PropStats, SketchTracksNearestRankOnLognormalStreams) {
   // The cluster tier reports p999 latency, which lives in the tail of a
-  // heavy-tailed (lognormal) distribution — exactly where the five-marker
-  // P² estimator is weakest.  Hold it to a relative error band against the
-  // exact sorted quantile on seeded streams.
-  test::for_each_seed(10, [](Rng& rng, std::uint64_t seed) {
+  // heavy-tailed (lognormal) distribution: the bound must hold there too.
+  test::for_each_seed(10, [](Rng& rng, std::uint64_t) {
     const std::size_t n = 20'000 + rng.uniform_u64(20'000);
     const double sigma = rng.uniform(0.5, 1.5);
     std::vector<double> xs(n);
     for (auto& x : xs) x = std::exp(rng.normal(0.0, sigma));
-
-    P2Quantile q{0.999};
-    for (double x : xs) q.add(x);
-    const double exact = percentile(xs, 99.9);
-    ASSERT_GT(exact, 0.0);
-    const double rel = std::abs(q.value() - exact) / exact;
-    // Empirical ceiling over these seeds is ~0.12 at sigma 1.5; 0.25 keeps
-    // headroom without letting the estimator drift to a different decade.
-    EXPECT_LT(rel, 0.25) << "seed=" << seed << " n=" << n
-                         << " sigma=" << sigma << " exact=" << exact
-                         << " estimate=" << q.value();
+    expect_sketch_tracks(xs, rng);
   });
+}
+
+TEST(PropStats, SketchIsOrderIndependent) {
+  // Ascending, descending and shuffled feeds of one grid grow the bucket
+  // range from either end, and must read back the same quantiles.
+  std::vector<double> grid(1000);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    grid[i] = 0.001 * static_cast<double>(i);
+  }
+  auto shuffled = grid;
+  Rng rng{2015};
+  rng.shuffle(shuffled);
+  QuantileSketch up;
+  QuantileSketch down;
+  QuantileSketch mixed;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    up.add(grid[i]);
+    down.add(grid[grid.size() - 1 - i]);
+    mixed.add(shuffled[i]);
+  }
+  for (double p : {0.0, 0.001, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(up.quantile(p), down.quantile(p)) << "p=" << p;
+    EXPECT_EQ(up.quantile(p), mixed.quantile(p)) << "p=" << p;
+  }
+  EXPECT_EQ(up.quantile(0.0), 0.0);  // the grid starts at 0
+  EXPECT_NEAR(up.quantile(0.5), 0.499, 0.499 * QuantileSketch::kRelativeError);
+}
+
+TEST(PropStats, SketchRejectsInvalidProbabilityAndSamples) {
+  QuantileSketch q;
+  q.add(1.0);
+  EXPECT_THROW(q.quantile(-0.2), std::invalid_argument);
+  EXPECT_THROW(q.quantile(1.5), std::invalid_argument);
+  EXPECT_THROW(q.quantile(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(q.add(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(q.add(std::nan("")), std::invalid_argument);
+  EXPECT_EQ(q.count(), 1u);
+}
+
+TEST(PropStats, SketchEmptyHasNoQuantile) {
+  // An empty sketch has no quantile: NaN, not 0.0, which would read as
+  // "zero latency" in an SLA report.
+  QuantileSketch q;
+  EXPECT_EQ(q.count(), 0u);
+  EXPECT_TRUE(std::isnan(q.quantile(0.999)));
+  q.add(1.25);
+  EXPECT_EQ(q.count(), 1u);
+  EXPECT_NEAR(q.quantile(0.999), 1.25, 1.25 * QuantileSketch::kRelativeError);
 }
 
 TEST(PropStats, HistogramRejectsZeroBuckets) {

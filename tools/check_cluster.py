@@ -14,8 +14,12 @@ enforces the serving tier's contract:
     This is the ISSUE acceptance gate: worker threads only parallelize the
     batched matrix evaluation, never the serving event loop.
   * quantiles_monotone == 1 — p50 <= p99 <= p999 in every sweep cell with
-    completions (the P² estimators are independent; a crossing means a
-    streaming-stats regression).
+    completions (all three are read off one log-bucketed latency sketch, so
+    a crossing means a streaming-stats regression).
+  * quantile_rel_err <= 0.005 — on the observability cell, the sketch's
+    fleet p99 and p999 each lie within the sketch's relative error alpha
+    (QuantileSketch::kRelativeError) of the exact nearest-rank thresholds
+    the observer computes over the same completions.
   * admitted_jobs > 0 — the sweep actually served work.
   * jobs_per_sec >= MIN_JOBS_PER_SEC (default 10000) — serving throughput
     of the headline cell, wall-clock over completed jobs with a warm
@@ -41,6 +45,8 @@ import json
 import sys
 
 PREFIX = "bench_cluster."
+# QuantileSketch::kRelativeError, plus rounding slack.
+MAX_QUANTILE_REL_ERR = 0.005 + 1e-9
 
 
 def main(argv):
@@ -66,6 +72,7 @@ def main(argv):
     cells = metric("config.cells")
     identical = metric("check.determinism_identical")
     monotone = metric("check.quantiles_monotone")
+    quantile_err = metric("check.quantile_rel_err")
     admitted = metric("check.admitted_jobs")
     jobs = metric("throughput.jobs")
     jobs_per_sec = metric("throughput.jobs_per_sec")
@@ -79,8 +86,8 @@ def main(argv):
         f"check_cluster: {cells:.0f} sweep cells, {admitted:.0f} admitted, "
         f"headline {jobs:.0f} jobs at {jobs_per_sec:,.0f} jobs/s "
         f"(floor {min_jobs_per_sec:,.0f}), 1v8-worker identical="
-        f"{identical:.0f}, monotone={monotone:.0f}, "
-        f"cycle spot check {spot_err:.2%} off"
+        f"{identical:.0f}, monotone={monotone:.0f}, sketch vs exact "
+        f"{quantile_err:.3%} off, cycle spot check {spot_err:.2%} off"
     )
     print(
         f"check_cluster: availability sweep {avail_cells:.0f} cells, "
@@ -93,6 +100,11 @@ def main(argv):
         failures.append("1-vs-8-worker SLA stats are not bit-identical")
     if monotone != 1.0:
         failures.append("p50 <= p99 <= p999 violated in some sweep cell")
+    if not quantile_err <= MAX_QUANTILE_REL_ERR:
+        failures.append(
+            f"sketch p99/p999 {quantile_err:.4%} off the exact thresholds "
+            f"(bound {MAX_QUANTILE_REL_ERR:.4%})"
+        )
     if admitted <= 0:
         failures.append("sweep admitted no jobs")
     if jobs_per_sec < min_jobs_per_sec:
