@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <queue>
@@ -26,7 +25,7 @@ std::string power_cap_name(PowerCapMode mode) {
 }  // namespace
 
 std::string format_quantile(const SlaQuantile& q, int digits) {
-  if (q.count() == 0 || std::isnan(q.value())) return "n/a";
+  if (q.count() == 0) return "n/a";
   return fmt(q.value(), digits);
 }
 
