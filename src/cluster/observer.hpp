@@ -167,7 +167,7 @@ struct ClusterObsReport {
   std::uint64_t completed = 0;
 
   /// Cohort thresholds over completed-job latency (exact order statistics
-  /// over the stored spans, not the P² streaming estimate).
+  /// over the stored spans, which SlaStats' sketch percentiles approximate).
   double p99_threshold_s = 0.0;
   double p999_threshold_s = 0.0;
   std::uint64_t cohort_p99 = 0;

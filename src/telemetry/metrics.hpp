@@ -103,8 +103,9 @@ class MetricsRegistry {
   json::MetricMap snapshot() const;
 
   /// Human-readable per-run summary (sorted by metric name).  Unlike
-  /// snapshot(), empty histogram stats appear as explicit "n/a" rows so a summary never prints a bogus 0 (or NaN) for a metric that
-  /// received no samples.
+  /// snapshot(), empty histogram stats appear as explicit "n/a" rows so a
+  /// summary never prints a bogus 0 (or NaN) for a metric that received no
+  /// samples.
   TextTable summary_table() const;
 
   /// One row per (series, epoch) bucket across every registered time
