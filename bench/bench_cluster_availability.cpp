@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "bench/cluster_fleet.hpp"
 #include "cluster/arrivals.hpp"
 #include "cluster/fleet_faults.hpp"
 #include "cluster/service.hpp"
@@ -35,36 +36,6 @@
 using namespace vfimr;
 
 namespace {
-
-/// Heterogeneous fleet of `n` instances: half VFI WiNoC, a quarter VFI
-/// mesh, the rest NVFI mesh baselines (mirrors bench_cluster_serving).
-std::vector<cluster::PlatformTypeSpec> make_fleet_types(
-    std::size_t n, const sysmodel::PlatformParams& base) {
-  const std::size_t winoc = (n + 1) / 2;
-  const std::size_t vfi_mesh = std::max<std::size_t>(1, n / 4);
-  const std::size_t nvfi = n > winoc + vfi_mesh ? n - winoc - vfi_mesh : 0;
-
-  std::vector<cluster::PlatformTypeSpec> types;
-  cluster::PlatformTypeSpec t;
-  t.label = "vfi-winoc";
-  t.params = base;
-  t.params.kind = sysmodel::SystemKind::kVfiWinoc;
-  t.count = winoc;
-  types.push_back(t);
-  t.label = "vfi-mesh";
-  t.params = base;
-  t.params.kind = sysmodel::SystemKind::kVfiMesh;
-  t.count = vfi_mesh;
-  types.push_back(t);
-  if (nvfi > 0) {
-    t.label = "nvfi-mesh";
-    t.params = base;
-    t.params.kind = sysmodel::SystemKind::kNvfiMesh;
-    t.count = nvfi;
-    types.push_back(t);
-  }
-  return types;
-}
 
 struct Cell {
   std::string policy;
@@ -122,7 +93,7 @@ int main(int argc, char** argv) {
   sim.attach_store(cache.store());
 
   const std::vector<cluster::PlatformTypeSpec> types =
-      make_fleet_types(16, base);
+      bench::make_fleet_types(16, base);
   const cluster::ServiceMatrix matrix =
       cluster::ServiceMatrix::evaluate(profiles, types, sim);
 
@@ -160,7 +131,7 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   for (const std::size_t n : fleet_sizes) {
     const std::vector<cluster::PlatformTypeSpec> fleet_types =
-        make_fleet_types(n, base);
+        bench::make_fleet_types(n, base);
     const double capacity =
         cluster::fleet_capacity_jobs_per_s(matrix, fleet_types);
     const double rate = rho * capacity;
@@ -183,15 +154,9 @@ int main(int argc, char** argv) {
         c.arrivals.job_count = jobs_per_cell;
         c.arrivals.seed = 2015;
         if (level > 0.0) {
-          faults::FleetFaultSpec spec;
-          spec.crash_rate_per_ks = level / (plan_horizon / 1000.0);
-          spec.degrade_rate_per_ks = 0.5 * spec.crash_rate_per_ks;
-          spec.mean_repair_s = 0.05 * plan_horizon;
-          spec.mean_degrade_s = 0.05 * plan_horizon;
-          spec.degrade_slowdown = 2.0;
-          spec.seed = 7;
           c.fleet.faults = cluster::FleetFaultPlan::from_spec(
-              spec, c.fleet.instance_count(), plan_horizon);
+              bench::fleet_fault_spec(level, plan_horizon),
+              c.fleet.instance_count(), plan_horizon);
         }
         cells.push_back(std::move(c));
       }
@@ -254,7 +219,7 @@ int main(int argc, char** argv) {
     const std::vector<cluster::JobArrival> arrivals =
         cluster::make_arrivals(arr);
     cluster::FleetConfig plain;
-    plain.types = make_fleet_types(fleet_sizes.front(), base);
+    plain.types = bench::make_fleet_types(fleet_sizes.front(), base);
     plain.policy = cluster::SchedulerPolicy::kLeastLoaded;
     cluster::FleetConfig faulty = plain;
     faulty.retry = retry3;

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "bench/cluster_fleet.hpp"
 #include "cluster/arrivals.hpp"
 #include "cluster/fleet_faults.hpp"
 #include "cluster/service.hpp"
@@ -49,36 +50,6 @@ struct Cell {
 };
 
 using cluster::fleet_capacity_jobs_per_s;
-
-/// Heterogeneous fleet of `n` instances: half VFI WiNoC, a quarter VFI
-/// mesh, the rest NVFI mesh baselines.
-std::vector<cluster::PlatformTypeSpec> make_fleet_types(
-    std::size_t n, const sysmodel::PlatformParams& base) {
-  const std::size_t winoc = (n + 1) / 2;
-  const std::size_t vfi_mesh = std::max<std::size_t>(1, n / 4);
-  const std::size_t nvfi = n > winoc + vfi_mesh ? n - winoc - vfi_mesh : 0;
-
-  std::vector<cluster::PlatformTypeSpec> types;
-  cluster::PlatformTypeSpec t;
-  t.label = "vfi-winoc";
-  t.params = base;
-  t.params.kind = sysmodel::SystemKind::kVfiWinoc;
-  t.count = winoc;
-  types.push_back(t);
-  t.label = "vfi-mesh";
-  t.params = base;
-  t.params.kind = sysmodel::SystemKind::kVfiMesh;
-  t.count = vfi_mesh;
-  types.push_back(t);
-  if (nvfi > 0) {
-    t.label = "nvfi-mesh";
-    t.params = base;
-    t.params.kind = sysmodel::SystemKind::kNvfiMesh;
-    t.count = nvfi;
-    types.push_back(t);
-  }
-  return types;
-}
 
 /// Host-speed calibration for the serving-loop guard: a fixed-seed
 /// std::priority_queue push/pop loop, the event-heap pattern the serving
@@ -196,7 +167,7 @@ int main(int argc, char** argv) {
   // (types are shared across fleet sizes — counts differ, service points
   // do not), through the sim's memo services.
   const std::vector<cluster::PlatformTypeSpec> types =
-      make_fleet_types(16, base);
+      bench::make_fleet_types(16, base);
   const auto m0 = std::chrono::steady_clock::now();
   const cluster::ServiceMatrix matrix =
       cluster::ServiceMatrix::evaluate(profiles, types, sim);
@@ -225,7 +196,7 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   for (const std::size_t n : fleet_sizes) {
     std::vector<cluster::PlatformTypeSpec> fleet_types =
-        make_fleet_types(n, base);
+        bench::make_fleet_types(n, base);
     const double capacity = fleet_capacity_jobs_per_s(matrix, fleet_types);
     for (const double rho : rhos) {
       for (int policy = 0; policy < 4; ++policy) {
@@ -257,18 +228,7 @@ int main(int argc, char** argv) {
             c.policy = "powercap";
             c.fleet.policy = cluster::SchedulerPolicy::kLeastLoaded;
             c.fleet.power_cap = cluster::PowerCapMode::kDelay;
-            // 60% of the fleet's nominal all-busy draw: tight enough to
-            // bind at high load, always above any single job's draw.
-            double nominal = 0.0;
-            for (std::size_t t = 0; t < fleet_types.size(); ++t) {
-              double mean = 0.0;
-              for (std::size_t a = 0; a < matrix.apps(); ++a) {
-                mean += matrix.at(a, t).power_w;
-              }
-              nominal += static_cast<double>(fleet_types[t].count) * mean /
-                         static_cast<double>(matrix.apps());
-            }
-            c.fleet.power_cap_w = 0.6 * nominal;
+            c.fleet.power_cap_w = bench::fleet_power_cap_w(matrix, fleet_types);
             break;
           }
         }
@@ -326,7 +286,7 @@ int main(int argc, char** argv) {
   // fleet 16, measured over the serving loop alone (the matrix is warm by
   // construction — evaluated once above).
   cluster::FleetConfig headline;
-  headline.types = make_fleet_types(16, base);
+  headline.types = bench::make_fleet_types(16, base);
   headline.policy = cluster::SchedulerPolicy::kLeastLoaded;
   headline.telemetry = telemetry.sink();
   cluster::ArrivalConfig head_arr;
@@ -377,7 +337,7 @@ int main(int argc, char** argv) {
       sysmodel::PlatformParams fresh_base = base;
       fresh_base.telemetry = nullptr;
       cluster::FleetConfig fleet;
-      fleet.types = make_fleet_types(16, fresh_base);
+      fleet.types = bench::make_fleet_types(16, fresh_base);
       fleet.policy = cluster::SchedulerPolicy::kLeastLoaded;
       const cluster::ServiceMatrix fresh = cluster::ServiceMatrix::evaluate(
           profiles, fleet.types, sysmodel::FullSystemSim{}, w == 0 ? 1 : 8);
@@ -402,7 +362,6 @@ int main(int argc, char** argv) {
     const sysmodel::SystemReport nvfi = sim.run(profiles.front(), spot_base);
     const sysmodel::SystemReport confirmed =
         sim.run(profiles.front(), spot, sysmodel::phase_baselines(nvfi));
-    sim.net_eval().note_promotion(telemetry.sink());
     const double analytical_exec = matrix.at(row, 0).exec_s;
     const double rel_err =
         std::abs(analytical_exec - confirmed.exec_s) / confirmed.exec_s;
@@ -448,20 +407,9 @@ int main(int argc, char** argv) {
     off.queue = cluster::QueueDiscipline::kEarliestDeadline;
     off.admit_by_deadline = true;
     off.power_cap = cluster::PowerCapMode::kDelay;
-    {
-      // Same 60%-of-nominal budget as the sweep's powercap cell, so the
-      // power-proximity monitor has a binding cap to watch.
-      double nominal = 0.0;
-      for (std::size_t t = 0; t < types.size(); ++t) {
-        double mean = 0.0;
-        for (std::size_t a = 0; a < matrix.apps(); ++a) {
-          mean += matrix.at(a, t).power_w;
-        }
-        nominal += static_cast<double>(types[t].count) * mean /
-                   static_cast<double>(matrix.apps());
-      }
-      off.power_cap_w = 0.6 * nominal;
-    }
+    // Same budget as the sweep's powercap cell, so the power-proximity
+    // monitor has a binding cap to watch.
+    off.power_cap_w = bench::fleet_power_cap_w(matrix, types);
 
     const auto run_timed = [&](const cluster::FleetConfig& fleet,
                                double& seconds) {
@@ -556,15 +504,9 @@ int main(int argc, char** argv) {
     foff.hedge.latency_multiplier = 3.0;
     const double plan_horizon =
         1.2 * static_cast<double>(arr.job_count) / arr.rate_jobs_per_s;
-    faults::FleetFaultSpec spec;
-    spec.crash_rate_per_ks = 1.0 / (plan_horizon / 1000.0);
-    spec.degrade_rate_per_ks = 0.5 * spec.crash_rate_per_ks;
-    spec.mean_repair_s = 0.05 * plan_horizon;
-    spec.mean_degrade_s = 0.05 * plan_horizon;
-    spec.degrade_slowdown = 2.0;
-    spec.seed = 7;
     foff.faults = cluster::FleetFaultPlan::from_spec(
-        spec, foff.instance_count(), plan_horizon);
+        bench::fleet_fault_spec(1.0, plan_horizon), foff.instance_count(),
+        plan_horizon);
 
     double foff_s = 0.0;
     double fon_s = 0.0;

@@ -214,8 +214,7 @@ int main(int argc, char** argv) {
   const bool counters_consistent =
       stats.analytical_hits + stats.cycle_hits == stats.hits &&
       stats.analytical_misses + stats.cycle_misses == stats.misses &&
-      stats.promotions == auto_run.promotions && stats.cycle_misses > 0 &&
-      stats.analytical_misses > 0;
+      stats.cycle_misses > 0 && stats.analytical_misses > 0;
 
   m["bench_sweep.fidelity.points"] = static_cast<double>(space.size());
   m["bench_sweep.fidelity.cycle_seconds"] = cycle_s;

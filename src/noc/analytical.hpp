@@ -31,9 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -117,8 +114,6 @@ class AnalyticalNocModel {
   const std::vector<bool>& edge_usable() const { return edge_usable_all_; }
   /// True when the fault timeline forced degraded route rebuilds.
   bool degraded() const { return degraded_; }
-  /// Number of steady-state slices the window was cut into (1 = fault-free).
-  std::size_t slice_count() const { return slices_.size(); }
 
  private:
   struct Hop {
@@ -164,44 +159,6 @@ class AnalyticalNocModel {
   void build_slices();
   Route walk_route(const Slice& slice, graph::NodeId s,
                    graph::NodeId d) const;
-
- public:
-  /// Thread-safe memo of constructed models, keyed on a serialized
-  /// evaluation config (window, clustering, synchronizer penalty, fault
-  /// schedule).  The owning platform embeds one so the phase evaluations of
-  /// a run — and, through a shared PlatformCache, every sweep point on the
-  /// same platform — pay each model construction once instead of once per
-  /// evaluation.
-  /// Models hold pointers into the owning platform; the cache must not
-  /// outlive it.  Concurrent insert races are benign: construction is
-  /// deterministic and the first inserted model wins.
-  class Cache {
-   public:
-    std::shared_ptr<const AnalyticalNocModel> find(
-        const std::string& key) const {
-      std::lock_guard<std::mutex> lock{mutex_};
-      const auto it = models_.find(key);
-      return it == models_.end() ? nullptr : it->second;
-    }
-    std::shared_ptr<const AnalyticalNocModel> insert(
-        std::string key, std::shared_ptr<const AnalyticalNocModel> model) {
-      std::lock_guard<std::mutex> lock{mutex_};
-      return models_.try_emplace(std::move(key), std::move(model))
-          .first->second;
-    }
-    std::size_t size() const {
-      std::lock_guard<std::mutex> lock{mutex_};
-      return models_.size();
-    }
-
-   private:
-    mutable std::mutex mutex_;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const AnalyticalNocModel>>
-        models_;
-  };
-
- private:
 
   const Topology* topo_;
   const RoutingAlgorithm* routing_;

@@ -23,11 +23,6 @@ namespace {
 /// hops bypass intermediate switch pipelines (single mm-wave transfer).
 constexpr std::uint32_t kRouterPipelineCycles = 4;
 
-void require_valid(const PlatformParams& params) {
-  VFIMR_REQUIRE_MSG(params.sim_cycles > 0,
-                    "sim_cycles must be positive (no injection window)");
-}
-
 /// The effective SimConfig both fidelity bands evaluate under: the caller's
 /// noc_sim with the telemetry sink attached, the VFI clustering defaulted
 /// and the rate-based fault spec expanded into a concrete schedule.
@@ -97,16 +92,13 @@ NetworkEval finalize_eval(const noc::Metrics& metrics, bool drained,
   return eval;
 }
 
-}  // namespace
-
-NetworkEval evaluate_network_traffic(const BuiltPlatform& platform,
-                                     const Matrix& node_traffic,
-                                     std::uint32_t packet_flits,
-                                     const PlatformParams& params,
-                                     const power::NocPowerModel& noc_power,
-                                     const std::string& label) {
-  require_valid(params);
-  const noc::SimConfig sim_cfg = resolved_sim_config(platform, params, label);
+/// The cycle-accurate band: drive the wormhole simulator.
+NetworkEval evaluate_cycle_accurate(const BuiltPlatform& platform,
+                                    const Matrix& node_traffic,
+                                    std::uint32_t packet_flits,
+                                    const PlatformParams& params,
+                                    const noc::SimConfig& sim_cfg,
+                                    const power::NocPowerModel& noc_power) {
   noc::Network net{platform.topology, *platform.routing, sim_cfg,
                    platform.wireless};
   noc::MatrixTraffic gen{node_traffic, packet_flits, params.traffic_seed};
@@ -115,15 +107,14 @@ NetworkEval evaluate_network_traffic(const BuiltPlatform& platform,
   return finalize_eval(net.metrics(), drained, noc_power);
 }
 
-NetworkEval evaluate_network_analytical(const BuiltPlatform& platform,
-                                        const Matrix& node_traffic,
-                                        std::uint32_t packet_flits,
-                                        const PlatformParams& params,
-                                        const power::NocPowerModel& noc_power,
-                                        const std::string& label) {
-  require_valid(params);
-  const noc::SimConfig sim_cfg = resolved_sim_config(platform, params, label);
-
+/// The analytical band: the Metrics come from the hop-by-hop M/D/1 model
+/// instead of the wormhole simulator.
+NetworkEval evaluate_analytical(const BuiltPlatform& platform,
+                                const Matrix& node_traffic,
+                                std::uint32_t packet_flits,
+                                const PlatformParams& params,
+                                const noc::SimConfig& sim_cfg,
+                                const power::NocPowerModel& noc_power) {
   noc::AnalyticalConfig cfg;
   cfg.sim_cycles = params.sim_cycles;
   cfg.node_cluster = sim_cfg.node_cluster;
@@ -138,15 +129,11 @@ NetworkEval evaluate_network_analytical(const BuiltPlatform& platform,
   // band's grows with the injection window.
   store::ByteWriter key;
   key(cfg.sim_cycles, cfg.node_cluster, cfg.sync_penalty_cycles, cfg.faults);
-  std::string model_key = key.take();
-  std::shared_ptr<const noc::AnalyticalNocModel> model =
-      platform.analytical_models->find(model_key);
-  if (model == nullptr) {
-    model = platform.analytical_models->insert(
-        std::move(model_key),
-        std::make_shared<const noc::AnalyticalNocModel>(
-            platform.topology, *platform.routing, platform.wireless, cfg));
-  }
+  const std::shared_ptr<const noc::AnalyticalNocModel> model =
+      platform.analytical_models->get(key.take(), [&] {
+        return std::make_shared<const noc::AnalyticalNocModel>(
+            platform.topology, *platform.routing, platform.wireless, cfg);
+      });
   noc::AnalyticalDetail detail;
   const noc::Metrics metrics =
       model->evaluate(node_traffic, packet_flits, &detail);
@@ -157,22 +144,6 @@ NetworkEval evaluate_network_analytical(const BuiltPlatform& platform,
       noc::kMaxUtilization;
   return finalize_eval(metrics, drained, noc_power);
 }
-
-NetworkEval evaluate_network_banded(const BuiltPlatform& platform,
-                                    const Matrix& node_traffic,
-                                    std::uint32_t packet_flits,
-                                    const PlatformParams& params,
-                                    const power::NocPowerModel& noc_power,
-                                    const std::string& label) {
-  if (analytical_band(params.fidelity)) {
-    return evaluate_network_analytical(platform, node_traffic, packet_flits,
-                                       params, noc_power, label);
-  }
-  return evaluate_network_traffic(platform, node_traffic, packet_flits,
-                                  params, noc_power, label);
-}
-
-namespace {
 
 /// Content-addressed key of one evaluation: the bytes of every input that
 /// can steer it (store/schema.hpp), so equal keys denote the exact same
@@ -215,6 +186,22 @@ std::string cache_key(const BuiltPlatform& platform,
 
 }  // namespace
 
+NetworkEval evaluate_network(const BuiltPlatform& platform,
+                             const Matrix& node_traffic,
+                             std::uint32_t packet_flits,
+                             const PlatformParams& params,
+                             const power::NocPowerModel& noc_power,
+                             const std::string& label) {
+  VFIMR_REQUIRE_MSG(params.sim_cycles > 0,
+                    "sim_cycles must be positive (no injection window)");
+  const noc::SimConfig sim_cfg = resolved_sim_config(platform, params, label);
+  return analytical_band(params.fidelity)
+             ? evaluate_analytical(platform, node_traffic, packet_flits,
+                                   params, sim_cfg, noc_power)
+             : evaluate_cycle_accurate(platform, node_traffic, packet_flits,
+                                       params, sim_cfg, noc_power);
+}
+
 NetworkEval NetworkEvaluator::evaluate(const BuiltPlatform& platform,
                                        const Matrix& node_traffic,
                                        std::uint32_t packet_flits,
@@ -225,19 +212,6 @@ NetworkEval NetworkEvaluator::evaluate(const BuiltPlatform& platform,
       cache_key(platform, node_traffic, packet_flits, params, noc_power);
   const bool analytical = analytical_band(params.fidelity);
 
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock{mutex_};
-    auto [it, fresh] = cache_.try_emplace(key);
-    if (fresh) it->second = std::make_shared<Entry>();
-    entry = it->second;
-  }
-
-  // Hit/miss classification happens under the entry mutex, where the tier
-  // that actually resolves the request is known: memory (entry ready), disk
-  // (store probe decodes), or compute.  A thread that blocked behind the
-  // computing thread counts a memory hit — by the time it runs, that is
-  // what it got.
   const std::string band = analytical ? "analytical" : "cycle";
   const auto count = [&](std::atomic<std::uint64_t>& counter,
                          const char* total_name, bool band_split) {
@@ -254,64 +228,52 @@ NetworkEval NetworkEvaluator::evaluate(const BuiltPlatform& platform,
     }
   };
 
-  std::lock_guard<std::mutex> lock{entry->mutex};
-  if (entry->ready) {
+  // The make classifies the tier that resolves the request: disk (the
+  // store probe decodes) or compute.  A caller that found the value, or
+  // waited for another thread's make, counts a memory hit.
+  bool made = false;
+  NetworkEval eval = cache_.get(
+      key,
+      [&] {
+        std::string store_key;
+        if (store_ != nullptr) {
+          // Disk tier: same content-addressed key, domain-prefixed so
+          // evaluator records can never alias another record family in a
+          // shared store.
+          store_key = store::domain_key(store::KeyDomain::kNetworkEval, key);
+          std::string bytes;
+          NetworkEval stored;
+          if (store_->get(store_key, bytes) &&
+              store::decode_network_eval(bytes, stored)) {
+            count(disk_hits_, "net_eval.disk_hits", /*band_split=*/false);
+            if (params.telemetry != nullptr) {
+              params.telemetry->metrics().counter("store.bytes").add(
+                  static_cast<std::uint64_t>(bytes.size()));
+            }
+            return stored;
+          }
+          count(disk_misses_, "net_eval.disk_misses", /*band_split=*/false);
+        }
+        count(analytical ? analytical_misses_ : cycle_misses_,
+              "net_eval.cache_misses", /*band_split=*/true);
+        NetworkEval computed = evaluate_network(
+            platform, node_traffic, packet_flits, params, noc_power, label);
+        if (store_ != nullptr) {
+          std::string value = store::encode_network_eval(computed);
+          if (params.telemetry != nullptr) {
+            params.telemetry->metrics().counter("store.bytes").add(
+                static_cast<std::uint64_t>(store_key.size() + value.size()));
+          }
+          store_->put(store_key, std::move(value));
+        }
+        return computed;
+      },
+      &made);
+  if (!made) {
     count(analytical ? analytical_hits_ : cycle_hits_, "net_eval.cache_hits",
           /*band_split=*/true);
-    return entry->value;
   }
-
-  if (store_ != nullptr) {
-    // Disk tier: same content-addressed key, domain-prefixed so evaluator
-    // records can never alias another record family in a shared store.
-    std::string bytes;
-    if (store_->get(
-            store::domain_key(store::KeyDomain::kNetworkEval, key), bytes) &&
-        store::decode_network_eval(bytes, entry->value)) {
-      entry->ready = true;
-      count(disk_hits_, "net_eval.disk_hits", /*band_split=*/false);
-      if (params.telemetry != nullptr) {
-        params.telemetry->metrics().counter("store.bytes").add(
-            static_cast<std::uint64_t>(bytes.size()));
-      }
-      return entry->value;
-    }
-    count(disk_misses_, "net_eval.disk_misses", /*band_split=*/false);
-  }
-
-  count(analytical ? analytical_misses_ : cycle_misses_,
-        "net_eval.cache_misses", /*band_split=*/true);
-  entry->value = evaluate_network_banded(platform, node_traffic, packet_flits,
-                                         params, noc_power, label);
-  entry->ready = true;
-  if (store_ != nullptr) {
-    std::string store_key =
-        store::domain_key(store::KeyDomain::kNetworkEval, key);
-    std::string value = store::encode_network_eval(entry->value);
-    if (params.telemetry != nullptr) {
-      params.telemetry->metrics().counter("store.bytes").add(
-          static_cast<std::uint64_t>(store_key.size() + value.size()));
-    }
-    store_->put(store_key, std::move(value));
-  }
-  return entry->value;
-}
-
-void NetworkEvaluator::note_promotion(telemetry::TelemetrySink* sink) {
-  promotions_.fetch_add(1, std::memory_order_relaxed);
-  if (sink != nullptr) {
-    sink->metrics().counter("net_eval.promotions").add(1);
-  }
-}
-
-std::size_t NetworkEvaluator::size() const {
-  std::lock_guard<std::mutex> lock{mutex_};
-  return cache_.size();
-}
-
-void NetworkEvaluator::clear() {
-  std::lock_guard<std::mutex> lock{mutex_};
-  cache_.clear();
+  return eval;
 }
 
 }  // namespace vfimr::sysmodel

@@ -20,19 +20,16 @@
 // frontier cycle-accurately.  Because the band is part of the cache key,
 // analytical and cycle-accurate results can never alias to one entry.
 //
-// Thread safety: the cache composes with common/parallel_for.  Lookups take
-// a registry mutex only to find-or-create the entry; the (expensive)
-// simulation runs under the entry's own mutex, so concurrent misses on
-// different keys simulate in parallel while a second thread asking for a
-// key being computed blocks until the result is ready (compute-once).
+// Thread safety: the cache is a common/compute_once.hpp ComputeOnce, so it
+// composes with common/parallel_for: concurrent misses on different keys
+// simulate in parallel, while a second thread asking for a key being
+// computed blocks until the result is ready and counts a memory hit.
 //
 // Telemetry: hit/miss totals are exposed via stats() and, when the request
 // carries a sink, mirrored into `net_eval.cache_hits` /
 // `net_eval.cache_misses` plus the per-band
-// `net_eval.{analytical,cycle}.cache_{hits,misses}` counters; frontier
-// promotions recorded via note_promotion() appear as
-// `net_eval.promotions`.  Cache hits do not re-emit the NoC trace events of
-// the original run.
+// `net_eval.{analytical,cycle}.cache_{hits,misses}` counters.  Cache hits do
+// not re-emit the NoC trace events of the original run.
 //
 // Disk tier: attach_store() adds a persistent tier between the in-memory
 // memo and the simulator.  Lookups then go memory -> disk -> compute: a
@@ -51,11 +48,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
+#include "common/compute_once.hpp"
 #include "common/matrix.hpp"
 #include "power/noc_power.hpp"
 #include "sysmodel/platform.hpp"
@@ -66,37 +61,19 @@ class EvalStore;
 
 namespace vfimr::sysmodel {
 
-/// Drive `platform`'s NoC cycle-accurately with an explicit node x node
-/// traffic matrix and measure latency and per-flit energy.  This is the
-/// uncached cycle-accurate core; the phase-resolved pipeline calls it once
-/// per phase matrix.  Ignores `params.fidelity`.
-NetworkEval evaluate_network_traffic(const BuiltPlatform& platform,
-                                     const Matrix& node_traffic,
-                                     std::uint32_t packet_flits,
-                                     const PlatformParams& params,
-                                     const power::NocPowerModel& noc_power,
-                                     const std::string& label = "noc");
-
-/// Analytical-band twin of evaluate_network_traffic: same inputs, same
-/// fault expansion and VFI clustering, same post-processing (pipeline
-/// correction, energy per flit) — but the Metrics come from the hop-by-hop
-/// M/D/1 model instead of the wormhole simulator.  Ignores
-/// `params.fidelity`.
-NetworkEval evaluate_network_analytical(const BuiltPlatform& platform,
-                                        const Matrix& node_traffic,
-                                        std::uint32_t packet_flits,
-                                        const PlatformParams& params,
-                                        const power::NocPowerModel& noc_power,
-                                        const std::string& label = "noc");
-
-/// Dispatch on `params.fidelity`: kCycleAccurate runs the simulator,
-/// kAnalytical / kAuto run the analytical model.
-NetworkEval evaluate_network_banded(const BuiltPlatform& platform,
-                                    const Matrix& node_traffic,
-                                    std::uint32_t packet_flits,
-                                    const PlatformParams& params,
-                                    const power::NocPowerModel& noc_power,
-                                    const std::string& label = "noc");
+/// Evaluate `platform`'s NoC under an explicit node x node traffic matrix
+/// in the band `params.fidelity` selects: kCycleAccurate drives the
+/// wormhole simulator, kAnalytical / kAuto the hop-by-hop M/D/1 model.
+/// Both bands share the fault expansion, the VFI clustering and the
+/// post-processing (pipeline correction, energy per flit).  This is the
+/// uncached core; the phase-resolved pipeline reaches it once per phase
+/// matrix through NetworkEvaluator.
+NetworkEval evaluate_network(const BuiltPlatform& platform,
+                             const Matrix& node_traffic,
+                             std::uint32_t packet_flits,
+                             const PlatformParams& params,
+                             const power::NocPowerModel& noc_power,
+                             const std::string& label = "noc");
 
 class NetworkEvaluator {
  public:
@@ -109,8 +86,6 @@ class NetworkEvaluator {
     std::uint64_t analytical_misses = 0;
     std::uint64_t cycle_hits = 0;
     std::uint64_t cycle_misses = 0;
-    /// Frontier promotions recorded by sweep drivers (note_promotion).
-    std::uint64_t promotions = 0;
     /// Disk tier (attach_store): memory misses resolved from / written to
     /// the persistent store.  Every disk miss is also a simulation, so
     /// `misses` keeps meaning "evaluations actually computed".
@@ -125,7 +100,7 @@ class NetworkEvaluator {
     }
   };
 
-  /// Memoized evaluate_network_banded.  The first call for a key runs the
+  /// Memoized evaluate_network.  The first call for a key runs the
   /// evaluation in the band `params.fidelity` selects; later calls (from
   /// any thread) return the stored result.  The band is part of the key,
   /// so analytical and cycle-accurate evaluations of otherwise identical
@@ -136,17 +111,11 @@ class NetworkEvaluator {
                        const power::NocPowerModel& noc_power,
                        const std::string& label = "noc");
 
-  /// Record that a sweep driver promoted an analytically-explored point to
-  /// a cycle-accurate confirmation run (mirrored into the
-  /// `net_eval.promotions` telemetry counter when `sink` is non-null).
-  void note_promotion(telemetry::TelemetrySink* sink = nullptr);
-
   /// Attach (or detach, with nullptr) the persistent disk tier.  The store
   /// is probed on memory misses and written on computes; it must outlive
   /// every evaluate() call.  Not thread-safe against concurrent evaluate()
   /// — attach before handing the evaluator to workers.
   void attach_store(store::EvalStore* store) { store_ = store; }
-  store::EvalStore* store() const { return store_; }
 
   Stats stats() const {
     Stats s;
@@ -156,32 +125,20 @@ class NetworkEvaluator {
     s.cycle_misses = cycle_misses_.load(std::memory_order_relaxed);
     s.hits = s.analytical_hits + s.cycle_hits;
     s.misses = s.analytical_misses + s.cycle_misses;
-    s.promotions = promotions_.load(std::memory_order_relaxed);
     s.disk_hits = disk_hits_.load(std::memory_order_relaxed);
     s.disk_misses = disk_misses_.load(std::memory_order_relaxed);
     return s;
   }
 
-  /// Number of distinct evaluations stored.
-  std::size_t size() const;
-
-  /// Drop all cached results (counters keep accumulating).
-  void clear();
+  /// Number of distinct evaluations requested.
+  std::size_t size() const { return cache_.size(); }
 
  private:
-  struct Entry {
-    std::mutex mutex;
-    bool ready = false;
-    NetworkEval value;
-  };
-
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> cache_;
+  ComputeOnce<NetworkEval> cache_;
   std::atomic<std::uint64_t> analytical_hits_{0};
   std::atomic<std::uint64_t> analytical_misses_{0};
   std::atomic<std::uint64_t> cycle_hits_{0};
   std::atomic<std::uint64_t> cycle_misses_{0};
-  std::atomic<std::uint64_t> promotions_{0};
   std::atomic<std::uint64_t> disk_hits_{0};
   std::atomic<std::uint64_t> disk_misses_{0};
   store::EvalStore* store_ = nullptr;

@@ -154,48 +154,38 @@ std::shared_ptr<const BuiltPlatform> PlatformCache::get(
     const workload::AppProfile& profile, const PlatformParams& params,
     const power::VfTable& table) {
   const std::string key = platform_key(profile, params, table);
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock{mutex_};
-    auto [it, fresh] = cache_.try_emplace(key);
-    if (fresh) it->second = std::make_shared<Entry>();
-    entry = it->second;
-  }
-
-  // Classify under the entry mutex, where the resolving tier is known
-  // (memory -> disk -> search); `misses()` keeps meaning "searches actually
-  // run".  Both tiers end in the same assembly, so a disk hit builds the
-  // platform the search would.
-  std::lock_guard<std::mutex> lock{entry->mutex};
-  if (entry->value != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return entry->value;
-  }
-  PlatformLayout layout;
-  std::string bytes;
-  const std::string store_key =
-      store_ != nullptr
-          ? store::domain_key(store::KeyDomain::kPlatformDesign, key)
-          : std::string{};
-  if (store_ != nullptr && store_->get(store_key, bytes) &&
-      store::decode_platform_layout(bytes, layout)) {
-    disk_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    if (store_ != nullptr) disk_misses_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    layout = search_platform(profile, params, table);
-    if (store_ != nullptr) {
-      store_->put(store_key, store::encode_platform_layout(layout));
-    }
-  }
-  entry->value = std::make_shared<const BuiltPlatform>(
-      assemble_platform(profile, params, std::move(layout)));
-  return entry->value;
-}
-
-std::size_t PlatformCache::size() const {
-  std::lock_guard<std::mutex> lock{mutex_};
-  return cache_.size();
+  // The make walks disk -> search, so `misses()` keeps meaning "searches
+  // actually run".  Both tiers end in the same assembly, so a disk hit
+  // builds the platform the search would.
+  bool made = false;
+  std::shared_ptr<const BuiltPlatform> platform = cache_.get(
+      key,
+      [&] {
+        PlatformLayout layout;
+        std::string bytes;
+        const std::string store_key =
+            store_ != nullptr
+                ? store::domain_key(store::KeyDomain::kPlatformDesign, key)
+                : std::string{};
+        if (store_ != nullptr && store_->get(store_key, bytes) &&
+            store::decode_platform_layout(bytes, layout)) {
+          disk_hits_.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          if (store_ != nullptr) {
+            disk_misses_.fetch_add(1, std::memory_order_relaxed);
+          }
+          misses_.fetch_add(1, std::memory_order_relaxed);
+          layout = search_platform(profile, params, table);
+          if (store_ != nullptr) {
+            store_->put(store_key, store::encode_platform_layout(layout));
+          }
+        }
+        return std::make_shared<const BuiltPlatform>(
+            assemble_platform(profile, params, std::move(layout)));
+      },
+      &made);
+  if (!made) hits_.fetch_add(1, std::memory_order_relaxed);
+  return platform;
 }
 
 NetworkEval evaluate_network(const BuiltPlatform& platform,
@@ -205,9 +195,9 @@ NetworkEval evaluate_network(const BuiltPlatform& platform,
   // The uncached core lives in net_eval.cpp so the memoizing
   // NetworkEvaluator and this whole-run convenience wrapper share one
   // implementation.
-  return evaluate_network_banded(platform, platform.node_traffic,
-                                 profile.packet_flits, params, noc_power,
-                                 telemetry_label(profile, params));
+  return evaluate_network(platform, platform.node_traffic,
+                          profile.packet_flits, params, noc_power,
+                          telemetry_label(profile, params));
 }
 
 }  // namespace vfimr::sysmodel

@@ -8,11 +8,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/compute_once.hpp"
 #include "common/matrix.hpp"
 #include "noc/analytical.hpp"
 #include "noc/network.hpp"
@@ -122,14 +121,16 @@ struct BuiltPlatform {
   bool has_vfi = false;
   std::size_t wi_count = 0;
   /// Lazily-populated memo of analytical NoC models over this platform
-  /// (see noc/analytical.hpp).  A model depends on the platform plus the
-  /// evaluation window / fault schedule — not on the traffic matrix — so
-  /// the phase evaluations of a run (and every sweep point sharing this
-  /// platform through a PlatformCache) reuse one construction.  Held by
-  /// shared_ptr so BuiltPlatform stays movable and the memo follows the
-  /// platform it indexes.
-  std::shared_ptr<noc::AnalyticalNocModel::Cache> analytical_models =
-      std::make_shared<noc::AnalyticalNocModel::Cache>();
+  /// (see noc/analytical.hpp), keyed on a serialized evaluation config
+  /// (window, clustering, synchronizer penalty, fault schedule).  A model
+  /// depends on the platform plus that config — not on the traffic matrix —
+  /// so the phase evaluations of a run (and every sweep point sharing this
+  /// platform through a PlatformCache) reuse one construction.  Models hold
+  /// pointers into this platform, so the memo must not outlive it.  Held by
+  /// shared_ptr so BuiltPlatform stays movable.
+  std::shared_ptr<ComputeOnce<std::shared_ptr<const noc::AnalyticalNocModel>>>
+      analytical_models = std::make_shared<
+          ComputeOnce<std::shared_ptr<const noc::AnalyticalNocModel>>>();
 };
 
 /// What a platform's design search decides: the Eq. 1 VFI design, the
@@ -171,10 +172,10 @@ BuiltPlatform build_platform(const workload::AppProfile& profile,
 /// Fidelity, injection windows, traffic seeds and fault specs deliberately
 /// do NOT enter the key — platform design is invariant under them, which is
 /// what makes one cached platform safe to share across every point of a
-/// sweep axis.  Compute-once under contention: concurrent requests for the
-/// same key block on the first builder (a VFI platform's search costs
-/// dozens of analytical network evaluations, so duplicate builds would
-/// dwarf the win).
+/// sweep axis.  Compute-once under contention (a ComputeOnce): concurrent
+/// requests for the same key wait for the first request's build (a VFI
+/// platform's search costs dozens of analytical network evaluations, so
+/// duplicate builds would dwarf the win).
 class PlatformCache {
  public:
   /// Returns the platform for (profile, params, table), building it on the
@@ -190,9 +191,9 @@ class PlatformCache {
   /// back.  All three system kinds are stored.  Attach before handing the
   /// cache to worker threads; the store must outlive every get().
   void attach_store(store::EvalStore* store) { store_ = store; }
-  store::EvalStore* store() const { return store_; }
 
-  std::size_t size() const;
+  std::size_t size() const { return cache_.size(); }
+  /// Requests that found the platform in memory or waited for its build.
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   /// Searches actually run (memory and disk both missed).
   std::uint64_t misses() const {
@@ -206,12 +207,7 @@ class PlatformCache {
   }
 
  private:
-  struct Entry {
-    std::mutex mutex;
-    std::shared_ptr<const BuiltPlatform> value;
-  };
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> cache_;
+  ComputeOnce<std::shared_ptr<const BuiltPlatform>> cache_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> disk_hits_{0};
@@ -219,7 +215,7 @@ class PlatformCache {
   store::EvalStore* store_ = nullptr;
 };
 
-/// Aggregate network figures extracted from a cycle-accurate run.
+/// Aggregate network figures extracted from one evaluation (either band).
 struct NetworkEval {
   double avg_latency_cycles = 0.0;
   double energy_per_flit_j = 0.0;   ///< dynamic NoC energy per delivered flit
@@ -233,8 +229,10 @@ struct NetworkEval {
   double network_edp() const { return energy_per_flit_j * avg_latency_cycles; }
 };
 
-/// Drive the platform's NoC with the profile's (mapped) traffic and measure
-/// latency and per-flit energy.
+/// Drive the platform's NoC with the profile's (mapped) traffic in the band
+/// `params.fidelity` selects and measure latency and per-flit energy: the
+/// whole-run form of net_eval.hpp's evaluate_network, traced under
+/// telemetry_label(profile, params).
 NetworkEval evaluate_network(const BuiltPlatform& platform,
                              const workload::AppProfile& profile,
                              const PlatformParams& params,

@@ -166,7 +166,6 @@ AutoComparison compare_systems_auto(const workload::AppProfile& profile,
   confirm.fidelity = Fidelity::kCycleAccurate;
   confirm.kind = SystemKind::kNvfiMesh;
   out.confirmed_baseline = sim.run(profile, confirm);
-  sim.caches(base_params).net_eval.note_promotion(base_params.telemetry);
   if (out.frontier == SystemKind::kNvfiMesh) {
     out.confirmed = out.confirmed_baseline;
     return out;
@@ -174,7 +173,6 @@ AutoComparison compare_systems_auto(const workload::AppProfile& profile,
   const PhaseBaselines baseline = phase_baselines(out.confirmed_baseline);
   confirm.kind = out.frontier;
   out.confirmed = sim.run(profile, confirm, baseline);
-  sim.caches(base_params).net_eval.note_promotion(base_params.telemetry);
   return out;
 }
 
@@ -258,10 +256,6 @@ DesignSpaceResult sweep_design_space(const workload::AppProfile& profile,
   });
   out.promotions = eligible.size();
   if (!eligible.empty()) {
-    const PlatformParams& front = points.front().params;
-    for (std::size_t k = 0; k < eligible.size(); ++k) {
-      sim.caches(front).net_eval.note_promotion(front.telemetry);
-    }
     out.argmin_confirmed = eligible.front();
     for (std::size_t i : eligible) {
       if (out.points[i].confirmed.edp_js() <

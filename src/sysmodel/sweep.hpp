@@ -115,8 +115,7 @@ IncrementalSweepResult incremental_sweep_comparisons(
 
 /// The Auto-mode three-system comparison: explore every system in the
 /// analytical band, pick the EDP frontier, then confirm it (and the NVFI
-/// baseline it is judged against) cycle-accurately.  Each confirmation is
-/// recorded as a promotion on the evaluator the runs used.
+/// baseline it is judged against) cycle-accurately.
 struct AutoComparison {
   /// Analytical-band exploration of all three systems (fidelity kAuto).
   SystemComparison explored;
@@ -160,8 +159,8 @@ struct DesignSpaceResult {
 /// Explore every point in its own fidelity band in parallel, then promote
 /// the `promote_top` kAuto points with the lowest explored EDP to
 /// cycle-accurate confirmation runs.  Baselines (the NVFI-mesh reference
-/// latencies) are computed once per band from points[0]'s params.
-/// Promotions are recorded on the evaluator the runs used.
+/// latencies) are computed once per band from points[0]'s params.  The
+/// promotions are counted in DesignSpaceResult::promotions.
 /// Deterministic for any `threads` (0 = default_parallelism()).
 DesignSpaceResult sweep_design_space(const workload::AppProfile& profile,
                                      const FullSystemSim& sim,

@@ -162,19 +162,6 @@ class FullSystemSim {
                    const PlatformParams& params,
                    const PhaseBaselines& baselines = {}) const;
 
-  /// The memo services a run under `params` resolves through: the sim's
-  /// own unless `params` sets the overrides.  The one place that choice is
-  /// made, for run() and the sweep drivers' promotion bookkeeping alike.
-  struct Caches {
-    NetworkEvaluator& net_eval;
-    PlatformCache& platforms;
-  };
-  Caches caches(const PlatformParams& params) const {
-    return {params.net_eval != nullptr ? *params.net_eval : net_eval_,
-            params.platform_cache != nullptr ? *params.platform_cache
-                                             : platforms_};
-  }
-
   /// The sim's own memo services (counters, untimed warm-up).
   NetworkEvaluator& net_eval() const { return net_eval_; }
   PlatformCache& platform_cache() const { return platforms_; }
@@ -190,6 +177,18 @@ class FullSystemSim {
   const Models& models() const { return models_; }
 
  private:
+  /// The memo services a run under `params` resolves through: the sim's
+  /// own unless `params` sets the overrides.
+  struct Caches {
+    NetworkEvaluator& net_eval;
+    PlatformCache& platforms;
+  };
+  Caches caches(const PlatformParams& params) const {
+    return {params.net_eval != nullptr ? *params.net_eval : net_eval_,
+            params.platform_cache != nullptr ? *params.platform_cache
+                                             : platforms_};
+  }
+
   Models models_;
   const power::VfTable* table_;
   mutable NetworkEvaluator net_eval_;

@@ -1,7 +1,6 @@
 #include "workload/from_runtime.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/require.hpp"
 
@@ -68,110 +67,6 @@ Matrix traffic_from_profile(const mr::JobProfile& profile,
     }
   }
   return traffic;
-}
-
-namespace {
-
-/// Measured shuffle matrix normalized to sum 1 over off-diagonal worker
-/// pairs; empty when the profile observed no shuffle traffic.
-Matrix normalized_shuffle(const mr::JobProfile& profile, std::size_t workers) {
-  const auto& shuffle = profile.shuffle_pairs;
-  Matrix m{workers, workers};
-  double total = 0.0;
-  for (std::size_t s = 0; s < std::min(shuffle.rows(), workers); ++s) {
-    for (std::size_t d = 0; d < std::min(shuffle.cols(), workers); ++d) {
-      if (s != d) {
-        m(s, d) = shuffle(s, d);
-        total += shuffle(s, d);
-      }
-    }
-  }
-  if (total <= 0.0) return Matrix{};
-  for (auto& v : m.data()) v /= total;
-  return m;
-}
-
-/// Uniform off-diagonal matrix normalized to sum 1.
-Matrix normalized_uniform(std::size_t workers) {
-  Matrix m{workers, workers};
-  const double per_pair = 1.0 / static_cast<double>(workers * (workers - 1));
-  for (std::size_t s = 0; s < workers; ++s) {
-    for (std::size_t d = 0; d < workers; ++d) {
-      if (s != d) m(s, d) = per_pair;
-    }
-  }
-  return m;
-}
-
-/// Master (worker 0) control hotspot normalized to sum 1.
-Matrix normalized_master(std::size_t workers) {
-  Matrix m{workers, workers};
-  const double per_pair = 1.0 / static_cast<double>(2 * (workers - 1));
-  for (std::size_t t = 1; t < workers; ++t) {
-    m(0, t) = per_pair;
-    m(t, 0) = per_pair;
-  }
-  return m;
-}
-
-}  // namespace
-
-RuntimePhaseTraffic phase_traffic_from_profile(
-    const mr::JobProfile& profile, std::size_t workers,
-    const RuntimeExtractOptions& opts) {
-  VFIMR_REQUIRE(workers >= 2);
-  VFIMR_REQUIRE(opts.total_rate > 0.0);
-
-  const Matrix shuffle = normalized_shuffle(profile, workers);
-  const Matrix uniform = normalized_uniform(workers);
-  const Matrix master = normalized_master(workers);
-
-  // Phase mixes over {master, shuffle, uniform}; when no shuffle was
-  // observed its share falls back to the uniform floor.
-  struct Mix {
-    double master, shuffle, uniform;
-  };
-  constexpr Mix kMix[kPhaseCount] = {
-      {0.8, 0.0, 0.2},  // lib_init: master splits and distributes the input
-      {0.1, 0.3, 0.6},  // map: input reads + combiner flush into the shuffle
-      {0.1, 0.8, 0.1},  // reduce: the K/V exchange itself
-      {0.8, 0.0, 0.2},  // merge: master collects results (mirrors lib_init)
-  };
-
-  RuntimePhaseTraffic out;
-  for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    Mix mix = kMix[p];
-    if (shuffle.empty()) {
-      mix.uniform += mix.shuffle;
-      mix.shuffle = 0.0;
-    }
-    Matrix m{workers, workers};
-    for (std::size_t i = 0; i < m.data().size(); ++i) {
-      double v = mix.master * master.data()[i] + mix.uniform * uniform.data()[i];
-      if (mix.shuffle > 0.0) v += mix.shuffle * shuffle.data()[i];
-      m.data()[i] = v * opts.total_rate;
-    }
-    out.phase[p] = std::move(m);
-  }
-
-  // Weights: measured phase wall times (split time stands in for lib-init).
-  const auto& t = profile.phases;
-  out.weight = {t.split_s, t.map_s, t.reduce_s, t.merge_s};
-  double total = 0.0;
-  for (double v : out.weight) total += v;
-  if (total > 0.0) {
-    for (double& v : out.weight) v /= total;
-  } else {
-    out.weight.fill(1.0 / static_cast<double>(kPhaseCount));
-  }
-
-  out.aggregate = Matrix{workers, workers};
-  for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    for (std::size_t i = 0; i < out.aggregate.data().size(); ++i) {
-      out.aggregate.data()[i] += out.weight[p] * out.phase[p].data()[i];
-    }
-  }
-  return out;
 }
 
 }  // namespace vfimr::workload

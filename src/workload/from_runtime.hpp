@@ -12,12 +12,11 @@
 // This is what `examples/wordcount_cluster_design` uses to design VFIs from
 // a live run.
 
-#include <array>
 #include <cstddef>
+#include <vector>
 
 #include "common/matrix.hpp"
 #include "mapreduce/engine.hpp"
-#include "workload/profile.hpp"
 
 namespace vfimr::workload {
 
@@ -42,25 +41,5 @@ std::vector<double> utilization_from_profile(const mr::JobProfile& profile,
 Matrix traffic_from_profile(const mr::JobProfile& profile,
                             std::size_t workers,
                             const RuntimeExtractOptions& opts = {});
-
-/// Phase-resolved traffic extracted from a measured run: one worker x worker
-/// packets/cycle matrix per MapReduce phase plus the measured wall-time
-/// share of each phase.  `aggregate` is the weight-weighted sum of the
-/// phase matrices (the whole-run matrix a phase-blind consumer would use).
-struct RuntimePhaseTraffic {
-  std::array<Matrix, kPhaseCount> phase;
-  std::array<double, kPhaseCount> weight;
-  Matrix aggregate;
-};
-
-/// Extract per-phase traffic from a measured mr::JobProfile.  Each phase
-/// matrix injects `opts.total_rate` packets/cycle with a phase-specific mix:
-/// LibInit and Merge concentrate on the master (worker 0) control hotspot,
-/// Map is uniform with a combiner-flush slice of the shuffle, Reduce is
-/// shuffle-dominated.  Phase weights come from the measured phase wall
-/// times (uniform when the profile carries no timing).
-RuntimePhaseTraffic phase_traffic_from_profile(
-    const mr::JobProfile& profile, std::size_t workers,
-    const RuntimeExtractOptions& opts = {});
 
 }  // namespace vfimr::workload

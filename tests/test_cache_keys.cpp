@@ -637,8 +637,8 @@ TEST(AnalyticalModelKey, KeyedOnWindowClustersAndFaultsNotTraffic) {
   NocCase base = noc_base();
   base.params.fidelity = Fidelity::kAnalytical;
   const auto models_after = [&](const NocCase& c) {
-    (void)evaluate_network_analytical(platform, c.traffic, c.packet_flits,
-                                      c.params, noc_power);
+    (void)evaluate_network(platform, c.traffic, c.packet_flits, c.params,
+                           noc_power);
     return platform.analytical_models->size();
   };
   ASSERT_EQ(models_after(base), 1u);

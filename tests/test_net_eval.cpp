@@ -73,12 +73,12 @@ TEST(NetEval, MemoizedMatchesFreshBitIdentical) {
     const BuiltPlatform built = build_platform(profile, params,
                                                sim.vf_table());
 
-    const NetworkEval fresh1 = evaluate_network_traffic(
-        built, built.node_traffic, profile.packet_flits, params,
-        sim.models().noc);
-    const NetworkEval fresh2 = evaluate_network_traffic(
-        built, built.node_traffic, profile.packet_flits, params,
-        sim.models().noc);
+    const NetworkEval fresh1 =
+        evaluate_network(built, built.node_traffic, profile.packet_flits,
+                         params, sim.models().noc);
+    const NetworkEval fresh2 =
+        evaluate_network(built, built.node_traffic, profile.packet_flits,
+                         params, sim.models().noc);
     expect_identical(fresh1, fresh2);  // the evaluation itself is seeded
 
     NetworkEvaluator evaluator;
@@ -107,9 +107,9 @@ TEST(NetEval, MemoizedMatchesFreshUnderFaults) {
   params.faults.seed = 77;
   const BuiltPlatform built = build_platform(profile, params, sim.vf_table());
 
-  const NetworkEval fresh = evaluate_network_traffic(
-      built, built.node_traffic, profile.packet_flits, params,
-      sim.models().noc);
+  const NetworkEval fresh =
+      evaluate_network(built, built.node_traffic, profile.packet_flits,
+                       params, sim.models().noc);
   NetworkEvaluator evaluator;
   const NetworkEval miss = evaluator.evaluate(
       built, built.node_traffic, profile.packet_flits, params,

@@ -594,9 +594,9 @@ TEST(StoreCodec, NetworkEvalRoundTripIsBitExact) {
   const FullSystemSim sim;
   const PlatformParams params = small_params(SystemKind::kVfiWinoc);
   const BuiltPlatform built = build_platform(profile, params, sim.vf_table());
-  const NetworkEval fresh = evaluate_network_traffic(
-      built, built.node_traffic, profile.packet_flits, params,
-      sim.models().noc);
+  const NetworkEval fresh =
+      evaluate_network(built, built.node_traffic, profile.packet_flits,
+                       params, sim.models().noc);
 
   const std::string bytes = store::encode_network_eval(fresh);
   NetworkEval decoded;
@@ -613,9 +613,9 @@ TEST(StoreCodec, RejectsForeignVersionKindAndTrailingGarbage) {
   const FullSystemSim sim;
   const PlatformParams params = small_params(SystemKind::kNvfiMesh);
   const BuiltPlatform built = build_platform(profile, params, sim.vf_table());
-  const NetworkEval fresh = evaluate_network_traffic(
-      built, built.node_traffic, profile.packet_flits, params,
-      sim.models().noc);
+  const NetworkEval fresh =
+      evaluate_network(built, built.node_traffic, profile.packet_flits,
+                       params, sim.models().noc);
   const std::string bytes = store::encode_network_eval(fresh);
   NetworkEval out;
 
@@ -768,9 +768,9 @@ TEST(TieredNetEval, DiskHitBitIdenticalCleanBothBands) {
     params.fidelity = band;
     const BuiltPlatform built =
         build_platform(profile, params, sim.vf_table());
-    const NetworkEval fresh = evaluate_network_banded(
-        built, built.node_traffic, profile.packet_flits, params,
-        sim.models().noc);
+    const NetworkEval fresh =
+        evaluate_network(built, built.node_traffic, profile.packet_flits,
+                         params, sim.models().noc);
 
     // Writer process: memory miss + disk miss -> simulate, persist.
     {
@@ -815,9 +815,9 @@ TEST(TieredNetEval, DiskHitBitIdenticalUnderFaults) {
   params.faults.transient_fraction = 0.7;
   params.faults.seed = 77;
   const BuiltPlatform built = build_platform(profile, params, sim.vf_table());
-  const NetworkEval fresh = evaluate_network_traffic(
-      built, built.node_traffic, profile.packet_flits, params,
-      sim.models().noc);
+  const NetworkEval fresh =
+      evaluate_network(built, built.node_traffic, profile.packet_flits,
+                       params, sim.models().noc);
 
   TempDir tmp{"tier_faulty"};
   {
@@ -854,9 +854,9 @@ TEST(TieredNetEval, CorruptStoreFallsBackToComputeNeverWrongData) {
   const FullSystemSim sim;
   const PlatformParams params = small_params(SystemKind::kVfiWinoc);
   const BuiltPlatform built = build_platform(profile, params, sim.vf_table());
-  const NetworkEval fresh = evaluate_network_traffic(
-      built, built.node_traffic, profile.packet_flits, params,
-      sim.models().noc);
+  const NetworkEval fresh =
+      evaluate_network(built, built.node_traffic, profile.packet_flits,
+                       params, sim.models().noc);
 
   TempDir tmp{"tier_corrupt"};
   {

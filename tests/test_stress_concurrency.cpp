@@ -1,18 +1,24 @@
 // Tier-2 concurrency stress tests (ctest label: tier2).
 //
 // These drive the *real* threaded MapReduce runtime — TaskScheduler and
-// Engine — with high worker counts and adversarial task-size skew, and are
-// meant to run under ThreadSanitizer (cmake --preset tsan && ctest --preset
-// tsan-tier2).  They also run in the plain tier-1 suite as cheap smoke
-// coverage of the same invariants.
+// Engine — with high worker counts and adversarial task-size skew, plus the
+// ComputeOnce memo under same-key contention, and are meant to run under
+// ThreadSanitizer (cmake --preset tsan && ctest --preset tsan-tier2).  They
+// also run in the plain tier-1 suite as cheap smoke coverage of the same
+// invariants.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <latch>
 #include <map>
+#include <memory>
+#include <thread>
 #include <vector>
 
+#include "common/compute_once.hpp"
 #include "common/rng.hpp"
 #include "mapreduce/engine.hpp"
 #include "mapreduce/scheduler.hpp"
@@ -158,6 +164,39 @@ TEST(StressEngine, RepeatedRunsAreStableUnderContention) {
     for (const auto& kv : result.pairs) total += kv.value;
     EXPECT_EQ(total, 600u * 2u);
   }
+}
+
+TEST(StressComputeOnce, EightThreadsShareOneSlowMake) {
+  // Eight threads ask for one key at once; its make sleeps so the others
+  // arrive while it runs.  They must block, then share the one made value.
+  constexpr std::size_t kThreads = 8;
+  ComputeOnce<std::shared_ptr<const std::vector<int>>> memo;
+  std::atomic<int> makes{0};
+  std::atomic<int> made_calls{0};
+  std::vector<std::shared_ptr<const std::vector<int>>> got(kThreads);
+  std::latch start{kThreads};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      bool made = false;
+      got[t] = memo.get(
+          "key",
+          [&] {
+            makes.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            return std::make_shared<const std::vector<int>>(1'000, 7);
+          },
+          &made);
+      if (made) made_calls.fetch_add(1);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(makes.load(), 1);
+  EXPECT_EQ(made_calls.load(), 1);
+  ASSERT_NE(got.front(), nullptr);
+  for (const auto& value : got) EXPECT_EQ(value, got.front());
+  EXPECT_EQ(memo.size(), 1u);
 }
 
 }  // namespace

@@ -209,11 +209,11 @@ TEST(StressSweep, FaultyBatchWithRepeatedKeysOnOneSim) {
 TEST(StressSweep, AutoFidelitySweepPromotionIsRaceFree) {
   // The multi-fidelity design-space driver under contention: 8 workers
   // explore kAuto points through ONE shared evaluator, then the driver
-  // promotes the frontier to cycle-accurate confirmation.  Promotion
-  // bookkeeping (note_promotion) and the band-tagged memo cache are the
-  // shared state under test (TSan target); the observable contract is that
-  // results, argmins and every per-band counter are independent of the
-  // thread count, and that the band counters are internally consistent.
+  // promotes the frontier to cycle-accurate confirmation.  The band-tagged
+  // memo cache is the shared state under test (TSan target); the
+  // observable contract is that results, argmins and every per-band counter
+  // are independent of the thread count, and that the band counters are
+  // internally consistent.
   const auto profile = workload::make_profile(workload::App::kHist);
   std::vector<SweepPoint> points;
   for (SystemKind kind : {SystemKind::kNvfiMesh, SystemKind::kVfiMesh,
@@ -258,8 +258,6 @@ TEST(StressSweep, AutoFidelitySweepPromotionIsRaceFree) {
   EXPECT_EQ(stats8.analytical_hits, stats2.analytical_hits);
   EXPECT_EQ(stats8.cycle_misses, stats2.cycle_misses);
   EXPECT_EQ(stats8.cycle_hits, stats2.cycle_hits);
-  EXPECT_EQ(stats8.promotions, stats2.promotions);
-  EXPECT_EQ(stats8.promotions, 2u);
   // Both bands saw traffic: exploration analytically, confirmation
   // cycle-accurately.
   EXPECT_GT(stats8.analytical_misses, 0u);
