@@ -12,6 +12,8 @@
 #include "noc/network.hpp"
 #include "noc/routing.hpp"
 #include "noc/traffic.hpp"
+#include "winoc/design.hpp"
+#include "workload/profile.hpp"
 
 namespace vfimr::noc {
 namespace {
@@ -39,6 +41,32 @@ void expect_conserved_with_losses(const Network& net) {
   EXPECT_EQ(m.packets_ejected + m.packets_lost, m.packets_injected);
   EXPECT_EQ(m.flits_ejected + m.flits_lost, 4u * m.packets_injected);
   EXPECT_EQ(net.in_flight_flits(), 0u);
+}
+
+/// Every observable of two finished faulty runs, compared exactly.
+void expect_fault_run_identical(const Network& fast, const Network& ref) {
+  const Metrics& a = fast.metrics();
+  const Metrics& b = ref.metrics();
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.packets_injected, b.packets_injected);
+  EXPECT_EQ(a.packets_ejected, b.packets_ejected);
+  EXPECT_EQ(a.flits_ejected, b.flits_ejected);
+  EXPECT_EQ(a.packet_latency.count(), b.packet_latency.count());
+  EXPECT_EQ(a.packet_latency.sum(), b.packet_latency.sum());
+  EXPECT_EQ(a.packet_latency.variance(), b.packet_latency.variance());
+  EXPECT_EQ(a.energy.switch_traversals, b.energy.switch_traversals);
+  EXPECT_EQ(a.energy.wire_hops, b.energy.wire_hops);
+  EXPECT_EQ(a.energy.wire_mm_flits, b.energy.wire_mm_flits);
+  EXPECT_EQ(a.energy.wireless_flits, b.energy.wireless_flits);
+  EXPECT_EQ(a.energy.buffer_writes, b.energy.buffer_writes);
+  EXPECT_EQ(a.energy.buffer_reads, b.energy.buffer_reads);
+  EXPECT_EQ(a.fault_events, b.fault_events);
+  EXPECT_EQ(a.route_rebuilds, b.route_rebuilds);
+  EXPECT_EQ(a.retry_backoffs, b.retry_backoffs);
+  EXPECT_EQ(a.packets_lost, b.packets_lost);
+  EXPECT_EQ(a.flits_lost, b.flits_lost);
+  EXPECT_EQ(fast.in_flight_flits(), ref.in_flight_flits());
+  EXPECT_EQ(fast.edge_flits(), ref.edge_flits());
 }
 
 TEST(PropFaults, ConservationUnderRandomSchedules) {
@@ -83,28 +111,60 @@ TEST(PropFaults, FastSteppingBitIdenticalUnderFaults) {
       net.drain(200'000);
       return net;
     };
+    expect_fault_run_identical(run_mode(false), run_mode(true));
+  });
+}
+
+/// The same A/B proof on catalog WiNoCs, the platforms the resilience
+/// experiments run: token-MAC wireless channels, WI faults that purge TX
+/// queues and reservations, transient repairs that swap the degraded
+/// tables back and forth, and irregular degraded up*/down* tables whose
+/// holes send heads through the backoff ladder.
+TEST(PropFaults, FastSteppingBitIdenticalUnderFaultsOnWinoc) {
+  test::for_each_seed(6, [](Rng& rng, std::uint64_t seed) {
+    const workload::App app =
+        workload::kAllApps[rng.uniform_u64(workload::kAllApps.size())];
+    const workload::AppProfile profile = workload::make_profile(app);
+    winoc::SmallWorldParams params;
+    params.seed = seed;
+    const auto strategy =
+        rng.bernoulli(0.5) ? winoc::PlacementStrategy::kMaxWirelessUtilization
+                           : winoc::PlacementStrategy::kMinHopCount;
+    const auto design = winoc::build_winoc(
+        profile.traffic, winoc::quadrant_clusters(), strategy, params);
+    const Topology& topo = design.topology;
+    const UpDownRouting routing{topo.graph, 2.0};
+
+    faults::FaultSpec spec;
+    spec.link_rate = rng.uniform(0.0, 600.0);
+    spec.router_rate = rng.uniform(0.0, 200.0);
+    spec.wi_rate = rng.uniform(100.0, 600.0);
+    spec.transient_fraction = rng.uniform(0.3, 1.0);
+    spec.mean_repair_cycles = 100 + rng.uniform_u64(600);
+    std::vector<std::uint32_t> edges(topo.graph.edge_count());
+    std::vector<std::uint32_t> routers(topo.graph.node_count());
+    for (std::uint32_t i = 0; i < edges.size(); ++i) edges[i] = i;
+    for (std::uint32_t i = 0; i < routers.size(); ++i) routers[i] = i;
+    std::vector<std::uint32_t> wis;
+    for (const auto& wi : design.wireless.interfaces) wis.push_back(wi.node);
+    const faults::FaultSchedule sched = faults::make_noc_schedule(
+        spec, edges, routers, wis, 1'500, rng.next_u64());
+
+    auto run_mode = [&](bool reference) {
+      SimConfig c;
+      c.node_cluster = design.node_cluster;
+      c.faults = sched;
+      c.reference_stepping = reference;
+      Network net{topo, routing, c, design.wireless};
+      MatrixTraffic gen{design.node_traffic, /*packet_flits=*/4, seed};
+      net.run(&gen, 1'500);
+      EXPECT_TRUE(net.drain(200'000)) << "faulty WiNoC failed to drain";
+      return net;
+    };
     const Network fast = run_mode(false);
     const Network ref = run_mode(true);
-    const Metrics& a = fast.metrics();
-    const Metrics& b = ref.metrics();
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.packets_injected, b.packets_injected);
-    EXPECT_EQ(a.packets_ejected, b.packets_ejected);
-    EXPECT_EQ(a.flits_ejected, b.flits_ejected);
-    EXPECT_EQ(a.packet_latency.count(), b.packet_latency.count());
-    EXPECT_EQ(a.packet_latency.sum(), b.packet_latency.sum());
-    EXPECT_EQ(a.energy.switch_traversals, b.energy.switch_traversals);
-    EXPECT_EQ(a.energy.wire_hops, b.energy.wire_hops);
-    EXPECT_EQ(a.energy.wire_mm_flits, b.energy.wire_mm_flits);
-    EXPECT_EQ(a.energy.buffer_writes, b.energy.buffer_writes);
-    EXPECT_EQ(a.energy.buffer_reads, b.energy.buffer_reads);
-    EXPECT_EQ(a.fault_events, b.fault_events);
-    EXPECT_EQ(a.route_rebuilds, b.route_rebuilds);
-    EXPECT_EQ(a.retry_backoffs, b.retry_backoffs);
-    EXPECT_EQ(a.packets_lost, b.packets_lost);
-    EXPECT_EQ(a.flits_lost, b.flits_lost);
-    EXPECT_EQ(fast.in_flight_flits(), ref.in_flight_flits());
-    EXPECT_EQ(fast.edge_flits(), ref.edge_flits());
+    expect_fault_run_identical(fast, ref);
+    expect_conserved_with_losses(fast);
   });
 }
 
