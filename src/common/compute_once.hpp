@@ -40,6 +40,12 @@ class ComputeOnce {
     return entries_.size();
   }
 
+  /// Drops every key.  Not safe against a concurrent get().
+  void clear() {
+    std::lock_guard<std::mutex> lock{mutex_};
+    entries_.clear();
+  }
+
  private:
   struct Entry {
     std::mutex mutex;

@@ -1,6 +1,7 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/require.hpp"
 #include "telemetry/telemetry.hpp"
@@ -17,13 +18,16 @@ constexpr std::uint64_t kNocPacketSampleEvery = 64;
 }  // namespace
 
 Network::Network(const Topology& topology, const RoutingAlgorithm& routing,
-                 SimConfig config, WirelessConfig wireless)
-    : topo_{&topology}, routing_{&routing}, cfg_{config} {
+                 SimConfig config, WirelessConfig wireless,
+                 DegradedRoutes* degraded_routes)
+    : topo_{&topology},
+      routing_{&routing},
+      cfg_{config},
+      degraded_routes_{degraded_routes} {
   const auto& g = topo_->graph;
   routers_.resize(g.node_count());
   edge_flits_.assign(g.edge_count(), 0);
   resident_flits_.assign(g.node_count(), 0);
-  ejectable_flits_.assign(g.node_count(), 0);
   active_flags_.assign(g.node_count(), false);
   channels_.resize(static_cast<std::size_t>(
       std::max(wireless.channel_count, 0)));
@@ -39,6 +43,7 @@ Network::Network(const Topology& topology, const RoutingAlgorithm& routing,
       if (ed.kind != graph::EdgeKind::kWire) continue;
       InPort in;
       in.capacity = kWireBufferDepth;
+      for (auto& q : in.buf) q = FlitQueue{kWireBufferDepth};
       in.via_edge = e;
       r.in.push_back(std::move(in));
       OutPort out;
@@ -52,11 +57,15 @@ Network::Network(const Topology& topology, const RoutingAlgorithm& routing,
 
   setup_wireless(wireless);
 
-  // The fast-path candidate masks hold one bit per input slot + source.
-  for (const auto& r : routers_) {
-    VFIMR_REQUIRE_MSG(r.in.size() + 1 <= 16,
+  // The fast-path candidate masks hold one bit per input slot + source
+  // (and there is one output per input, so `live_outs` has room too).
+  for (auto& r : routers_) {
+    VFIMR_REQUIRE_MSG(r.in.size() + 1 <= kMaxSlots,
                       "router has too many input ports for the candidate "
                       "bitmask fast path");
+    for (auto& per_vn : r.cand_out) {
+      std::fill(std::begin(per_vn), std::end(per_vn), std::int8_t{-1});
+    }
   }
 
   // Resolve downstream input-port indices for wire outputs.
@@ -120,6 +129,7 @@ void Network::inject(graph::NodeId src, graph::NodeId dest,
   }
   const PacketId id = next_packet_++;
   auto& q = routers_[src].source_queue;
+  const bool was_empty = q.empty();
   for (std::uint32_t s = 0; s < flits; ++s) {
     Flit f;
     f.packet = id;
@@ -134,6 +144,7 @@ void Network::inject(graph::NodeId src, graph::NodeId dest,
   ++metrics_.packets_injected;
   in_flight_flits_ += flits;
   note_arrival(src, flits);
+  if (was_empty) refresh_candidate(src, kSourceInput, 0);
   if (tele_ != nullptr) {
     tele_queue_depth_->add(static_cast<double>(q.size()));
   }
@@ -149,7 +160,7 @@ void Network::note_arrival(graph::NodeId n, std::uint64_t flits) {
 
 void Network::note_departure(graph::NodeId n) {
   VFIMR_REQUIRE(resident_flits_[n] > 0);
-  --resident_flits_[n];
+  if (--resident_flits_[n] == 0) router_emptied_ = true;
 }
 
 void Network::refresh_active_list() {
@@ -163,6 +174,8 @@ void Network::refresh_active_list() {
     std::inplace_merge(active_list_.begin(), mid, active_list_.end());
     newly_active_.clear();
   }
+  if (!router_emptied_) return;
+  router_emptied_ = false;
   std::erase_if(active_list_, [&](graph::NodeId n) {
     if (resident_flits_[n] > 0) return false;
     active_flags_[n] = false;
@@ -170,8 +183,8 @@ void Network::refresh_active_list() {
   });
 }
 
-std::deque<Flit>* Network::input_queue(RouterState& r, std::int32_t idx,
-                                       std::size_t vn) {
+FlitQueue* Network::input_queue(RouterState& r, std::int32_t idx,
+                                std::size_t vn) {
   if (idx == kSourceInput) {
     // Injection queue carries only VN0 packets.
     return vn == 0 ? &r.source_queue : nullptr;
@@ -198,12 +211,17 @@ bool Network::downstream_has_space(const OutPort& out, std::size_t vn) const {
   return in.buf[vn].size() < in.capacity;
 }
 
-void Network::eject_router(graph::NodeId n, Cycle now) {
+void Network::eject_router(graph::NodeId n, Cycle now, std::uint32_t queues) {
   auto& r = routers_[n];
-  auto try_eject = [&](std::deque<Flit>& q) {
-    if (q.empty()) return;
-    Flit& f = q.front();
-    if (f.dest != n || f.ready_cycle > now) return;
+  // Bit 2 * input + vn, so ascending bits visit the queues in port order.
+  for (; queues != 0; queues &= queues - 1) {
+    const auto bit = static_cast<std::uint32_t>(std::countr_zero(queues));
+    const std::uint32_t i = bit / kVns;
+    const std::size_t vn = bit % kVns;
+    FlitQueue& q = r.in[i].buf[vn];
+    if (q.empty()) continue;
+    const Flit& f = q.front();
+    if (f.dest != n || f.ready_cycle > now) continue;
     ++metrics_.energy.buffer_reads;
     ++metrics_.flits_ejected;
     --in_flight_flits_;
@@ -225,26 +243,26 @@ void Network::eject_router(graph::NodeId n, Cycle now) {
       }
     }
     q.pop_front();
-    VFIMR_REQUIRE(ejectable_flits_[n] > 0);
-    --ejectable_flits_[n];
     note_departure(n);
-  };
-  for (auto& in : r.in) {
-    for (std::size_t vn = 0; vn < kVns; ++vn) try_eject(in.buf[vn]);
+    refresh_candidate(n, static_cast<std::int32_t>(i), vn);
   }
 }
 
 void Network::eject_ready_flits() {
   const Cycle now = metrics_.cycles;
   if (cfg_.reference_stepping) {
-    for (graph::NodeId n = 0; n < routers_.size(); ++n) eject_router(n, now);
+    for (graph::NodeId n = 0; n < routers_.size(); ++n) {
+      const std::size_t queues = routers_[n].in.size() * kVns;
+      eject_router(n, now, static_cast<std::uint32_t>((1ull << queues) - 1));
+    }
     return;
   }
   for (graph::NodeId n : active_list_) {
-    // Through-traffic-only routers have nothing the eject stage could take;
-    // the naive probe of every input buffer would find no dest == n front.
-    if (ejectable_flits_[n] == 0) continue;
-    eject_router(n, now);
+    // Only the queues whose front is addressed here can eject; most active
+    // routers hold through-traffic only.  The queues an eject exposes are
+    // not revisited this cycle, as in the naive probe of every queue.
+    const std::uint32_t queues = routers_[n].eject_fronts;
+    if (queues != 0) eject_router(n, now, queues);
   }
 }
 
@@ -311,9 +329,7 @@ std::int32_t Network::candidate_target(graph::NodeId node, std::int32_t idx,
   auto* q = input_queue(r, idx, vn);
   if (q == nullptr || q->empty()) return -1;
   Flit& f = q->front();
-  if (!f.is_head() || f.ready_cycle > metrics_.cycles || f.dest == node) {
-    return -1;
-  }
+  if (!f.is_head() || f.dest == node) return -1;
   VFIMR_REQUIRE(f.vn == vn);
   if (f.route_node != node || f.route_epoch != route_epoch_) {
     // First probe of this head at this router (or the tables were rebuilt
@@ -321,9 +337,9 @@ std::int32_t Network::candidate_target(graph::NodeId node, std::int32_t idx,
     // (next_hop is pure in (node, dest, phase, vn) within a route epoch).
     const RouteDecision dec =
         active_routing_->next_hop(node, f.dest, f.down_phase, f.vn == 1);
-    // Fault hole — same non-candidate treatment as the reference
-    // arbitrate(); nothing is memoized so the next probe re-resolves.
-    if (dec.edge == graph::kInvalidId) return -1;
+    // Fault hole — never a candidate, as in the reference arbitrate();
+    // nothing is memoized, and the hole lasts until the next table swap.
+    if (dec.edge == graph::kInvalidId) return kHoleTarget;
     const auto& ed = topo_->graph.edge(dec.edge);
     if (ed.kind == graph::EdgeKind::kWireless) {
       VFIMR_REQUIRE_MSG(r.wireless_tx >= 0,
@@ -334,67 +350,62 @@ std::int32_t Network::candidate_target(graph::NodeId node, std::int32_t idx,
       VFIMR_REQUIRE_MSG(f.vn == 0,
                         "route takes a second wireless hop (layered routing "
                         "supports one wireless segment per packet)");
-      f.route_out = r.wireless_tx;
+      f.route_out = static_cast<std::int16_t>(r.wireless_tx);
       f.route_wi_dest = topo_->graph.other_end(dec.edge, node);
     } else {
-      f.route_out = static_cast<std::int32_t>(output_for_edge(r, dec.edge));
+      f.route_out = static_cast<std::int16_t>(output_for_edge(r, dec.edge));
       f.route_wi_dest = graph::kInvalidId;
     }
     f.route_down_phase = dec.down_phase;
     f.route_node = node;
     f.route_epoch = route_epoch_;
   }
-  // Same wireless admission rule as the reference arbitrate(): a candidate
-  // whose packet does not fit the TX queue right now is no candidate.
-  if (f.route_wi_dest != graph::kInvalidId &&
-      r.tx_queue.size() + f.size > kWiBufferDepth) {
-    return -1;
-  }
   return f.route_out;
 }
 
 void Network::refresh_candidate(graph::NodeId node, std::int32_t idx,
                                 std::size_t vn) {
+  if (cfg_.reference_stepping) return;
   auto& r = routers_[node];
+  if (idx != kSourceInput) {
+    const FlitQueue& q = r.in[static_cast<std::size_t>(idx)].buf[vn];
+    const std::uint32_t queue_bit =
+        1u << (static_cast<std::uint32_t>(idx) * kVns + vn);
+    if (!q.empty() && q.front().dest == node) {
+      r.eject_fronts |= queue_bit;
+    } else {
+      r.eject_fronts &= ~queue_bit;
+    }
+  }
   const std::uint32_t slot = idx == kSourceInput
                                  ? static_cast<std::uint32_t>(r.in.size())
                                  : static_cast<std::uint32_t>(idx);
-  const std::uint16_t bit = static_cast<std::uint16_t>(1u << slot);
+  const auto bit = static_cast<std::uint16_t>(1u << slot);
   const std::int32_t target = candidate_target(node, idx, vn);
-  for (std::size_t o = 0; o < r.out.size(); ++o) {
-    if (static_cast<std::int32_t>(o) == target) {
-      r.out[o].cand[vn] |= bit;
-    } else {
-      r.out[o].cand[vn] &= static_cast<std::uint16_t>(~bit);
-    }
+  std::int8_t& held = r.cand_out[vn][slot];
+  if (held >= 0) {
+    r.out[static_cast<std::size_t>(held)].cand[vn] &=
+        static_cast<std::uint16_t>(~bit);
+  }
+  held = -1;
+  if (target >= 0) {
+    r.out[static_cast<std::size_t>(target)].cand[vn] |= bit;
+    r.live_outs |= 1u << target;
+    held = static_cast<std::int8_t>(target);
+  }
+  if (target == kHoleTarget) {
+    r.hole_slots[vn] |= bit;
+  } else {
+    r.hole_slots[vn] &= static_cast<std::uint16_t>(~bit);
   }
 }
 
-void Network::build_candidate_masks(graph::NodeId node) {
-  auto& r = routers_[node];
-  for (auto& out : r.out) {
-    out.cand[0] = 0;
-    out.cand[1] = 0;
-  }
-  const std::uint32_t inputs = static_cast<std::uint32_t>(r.in.size());
+void Network::refresh_all_candidates(graph::NodeId node) {
+  const auto inputs = static_cast<std::int32_t>(routers_[node].in.size());
   for (std::size_t vn = 0; vn < kVns; ++vn) {
-    for (std::uint32_t i = 0; i < inputs; ++i) {
-      if (r.in[i].buf[vn].empty()) continue;  // cheap guard, no call
-      const std::int32_t target =
-          candidate_target(node, static_cast<std::int32_t>(i), vn);
-      if (target >= 0) {
-        r.out[static_cast<std::size_t>(target)].cand[vn] |=
-            static_cast<std::uint16_t>(1u << i);
-      }
-    }
-    if (vn == 0 && !r.source_queue.empty()) {
-      const std::int32_t target = candidate_target(node, kSourceInput, vn);
-      if (target >= 0) {
-        r.out[static_cast<std::size_t>(target)].cand[vn] |=
-            static_cast<std::uint16_t>(1u << inputs);
-      }
-    }
+    for (std::int32_t i = 0; i < inputs; ++i) refresh_candidate(node, i, vn);
   }
+  refresh_candidate(node, kSourceInput, 0);
 }
 
 std::int32_t Network::arbitrate_fast(graph::NodeId node, std::uint32_t out_idx,
@@ -402,24 +413,33 @@ std::int32_t Network::arbitrate_fast(graph::NodeId node, std::uint32_t out_idx,
   auto& r = routers_[node];
   auto& out = r.out[out_idx];
   auto& owner = out.vn[vn];
-  const std::uint16_t mask = out.cand[vn];
-  if (mask == 0) return -1;
-  const auto candidates = static_cast<std::uint32_t>(r.in.size()) + 1;
-  for (std::uint32_t k = 0; k < candidates; ++k) {
-    const std::uint32_t slot = (owner.rr_next + k) % candidates;
-    if ((mask & (1u << slot)) == 0) continue;
-    const std::int32_t idx = slot == static_cast<std::uint32_t>(r.in.size())
-                                 ? kSourceInput
-                                 : static_cast<std::int32_t>(slot);
-    // The mask bit guarantees a grantable, route-memoized front head.
-    const Flit& f = input_queue(r, idx, vn)->front();
-    owner.owner_input = idx;
-    owner.owner_packet = f.packet;
-    owner.remaining = f.size;
-    owner.wi_dest = f.route_wi_dest;
-    owner.owner_down_phase = f.route_down_phase;
-    owner.rr_next = (slot + 1) % candidates;
-    return idx;
+  const Cycle now = metrics_.cycles;
+  const auto inputs = static_cast<std::uint32_t>(r.in.size());
+  const std::uint32_t mask = out.cand[vn];
+  // Round-robin from rr_next: the set bits at or above it, then the rest —
+  // the slot order of the reference scan, which skips every slot without
+  // a bit.  A bit vouches for a routed head; readiness and wireless
+  // admission change without the front changing, so they are checked here.
+  const std::uint32_t from_rr = mask & ~((1u << owner.rr_next) - 1u);
+  for (std::uint32_t pending : {from_rr, mask & ~from_rr}) {
+    for (; pending != 0; pending &= pending - 1) {
+      const auto slot = static_cast<std::uint32_t>(std::countr_zero(pending));
+      const std::int32_t idx =
+          slot == inputs ? kSourceInput : static_cast<std::int32_t>(slot);
+      const Flit& f = input_queue(r, idx, vn)->front();
+      if (f.ready_cycle > now) continue;
+      if (f.route_wi_dest != graph::kInvalidId &&
+          r.tx_queue.size() + f.size > kWiBufferDepth) {
+        continue;
+      }
+      owner.owner_input = idx;
+      owner.owner_packet = f.packet;
+      owner.remaining = f.size;
+      owner.wi_dest = f.route_wi_dest;
+      owner.owner_down_phase = f.route_down_phase;
+      owner.rr_next = (slot + 1) % (inputs + 1);
+      return idx;
+    }
   }
   return -1;
 }
@@ -447,32 +467,38 @@ bool Network::try_move_vn(graph::NodeId node, OutPort& out, std::size_t vn) {
     if (r.tx_queue.size() >= kWiBufferDepth) return false;
   }
 
-  Flit moved = f;
+  // Copy the flit straight into its next queue (the neighbor's input
+  // buffer or this router's TX queue, never `q`) and update it there.
+  const bool wire = out.kind == OutKind::kWire;
+  FlitQueue& next =
+      wire ? routers_[out.neighbor].in[out.downstream_in].buf[vn]
+           : r.tx_queue;
+  next.push_back(f);
   q->pop_front();
+  Flit& moved = next.back();
   ++metrics_.energy.buffer_reads;
-  if (tele_ != nullptr && out.kind == OutKind::kWire) ++moved.hops;
+  if (tele_ != nullptr && wire) ++moved.hops;
   moved.ready_cycle = now + 1;
-  if (out.kind == OutKind::kWire && !cfg_.node_cluster.empty() &&
+  if (wire && !cfg_.node_cluster.empty() &&
       cfg_.node_cluster[node] != cfg_.node_cluster[out.neighbor]) {
     moved.ready_cycle += cfg_.sync_penalty_cycles;  // VFI boundary crossing
   }
   if (moved.is_head()) moved.down_phase = owner.owner_down_phase;
   ++metrics_.energy.switch_traversals;
-  if (out.kind == OutKind::kWire) {
+  ++metrics_.energy.buffer_writes;
+  if (wire) {
     ++metrics_.energy.wire_hops;
     metrics_.energy.wire_mm_flits += out.length_mm;
     ++edge_flits_[out.edge];
-    auto& nb = routers_[out.neighbor];
-    nb.in[out.downstream_in].buf[vn].push_back(moved);
-    if (moved.dest == out.neighbor) ++ejectable_flits_[out.neighbor];
-    ++metrics_.energy.buffer_writes;
     note_departure(node);
     note_arrival(out.neighbor, 1);
+    if (next.size() == 1) {
+      refresh_candidate(out.neighbor,
+                        static_cast<std::int32_t>(out.downstream_in), vn);
+    }
   } else {
     // Input queue -> same router's TX queue: resident count is unchanged.
     moved.wi_dest = owner.wi_dest;
-    r.tx_queue.push_back(moved);
-    ++metrics_.energy.buffer_writes;
   }
   VFIMR_REQUIRE(owner.remaining > 0);
   const std::int32_t moved_input = owner.owner_input;
@@ -480,12 +506,10 @@ bool Network::try_move_vn(graph::NodeId node, OutPort& out, std::size_t vn) {
     owner.owner_input = -1;
     owner.wi_dest = graph::kInvalidId;
   }
-  if (!cfg_.reference_stepping) {
-    // The popped queue has a new front (possibly the next packet's head,
-    // grantable by another output later this same cycle): update its
-    // candidate bit exactly as the naive re-scan would observe it.
-    refresh_candidate(node, moved_input, vn);
-  }
+  // The popped queue has a new front (possibly the next packet's head,
+  // grantable by another output later this same cycle): update its
+  // candidate bit exactly as the naive re-scan would observe it.
+  refresh_candidate(node, moved_input, vn);
   return true;
 }
 
@@ -509,9 +533,24 @@ void Network::move_through_output(graph::NodeId node, OutPort& out) {
 }
 
 void Network::service_router(graph::NodeId n) {
-  if (!cfg_.reference_stepping) build_candidate_masks(n);
-  for (auto& out : routers_[n].out) {
+  auto& r = routers_[n];
+  if (cfg_.reference_stepping) {
+    for (auto& out : r.out) move_through_output(n, out);
+    return;
+  }
+  // The live outputs in index order.  The set is re-read after each visit:
+  // a pop can expose a head for a later output in this same cycle, as the
+  // naive visit of every output would observe.
+  for (std::uint32_t o = 0; o < 32; ++o) {
+    const std::uint32_t rest = r.live_outs >> o;
+    if (rest == 0) break;
+    o += static_cast<std::uint32_t>(std::countr_zero(rest));
+    OutPort& out = r.out[o];
     move_through_output(n, out);
+    if (out.cand[0] == 0 && out.cand[1] == 0 &&
+        out.vn[0].owner_input == -1 && out.vn[1].owner_input == -1) {
+      r.live_outs &= ~(1u << o);
+    }
   }
 }
 
@@ -537,9 +576,12 @@ void Network::step() {
       pending_lost_.clear();
     }
     apply_fault_events();
-    if (degraded_routing_active_) backoff_unroutable_heads();
   }
   if (!cfg_.reference_stepping) refresh_active_list();
+  if (degraded_routing_active_ &&
+      (cfg_.reference_stepping || degraded_routing_->has_holes())) {
+    backoff_unroutable_heads();
+  }
   eject_ready_flits();
   service_wireless_channels();
   service_router_outputs();
@@ -568,7 +610,7 @@ void Network::run(TrafficGenerator* gen, Cycle cycles) {
 
 Cycle Network::next_front_ready_cycle() const {
   Cycle earliest = ~Cycle{0};
-  auto consider = [&](const std::deque<Flit>& q) {
+  auto consider = [&](const FlitQueue& q) {
     if (!q.empty()) earliest = std::min(earliest, q.front().ready_cycle);
   };
   for (graph::NodeId n : active_list_) {

@@ -17,11 +17,12 @@
 // traffic.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/compute_once.hpp"
 #include "common/stats.hpp"
 #include "faults/faults.hpp"
 #include "noc/flit.hpp"
@@ -136,6 +137,13 @@ struct Injection {
   std::uint32_t flits = 1;
 };
 
+/// Memo of the degraded up*/down* tables of one topology, keyed by the
+/// edge-liveness mask they route around (one byte per edge).  The tables
+/// are a pure function of (topology, mask), so networks over the same
+/// topology share one build per mask (DESIGN.md §9).  A memo must only ever
+/// serve networks over one topology.
+using DegradedRoutes = ComputeOnce<std::shared_ptr<const UpDownRouting>>;
+
 /// Produces injections cycle by cycle; implementations in noc/traffic.hpp.
 class TrafficGenerator {
  public:
@@ -147,9 +155,12 @@ class Network {
  public:
   /// `topology` and `routing` must outlive the Network.  Wireless edges in
   /// the topology require a matching WirelessConfig entry at both endpoints
-  /// sharing one channel.
+  /// sharing one channel.  `degraded_routes` (nullable, caller-owned)
+  /// memoizes the tables a faulty run rebuilds; it must serve `topology`
+  /// only and outlive the Network.
   Network(const Topology& topology, const RoutingAlgorithm& routing,
-          SimConfig config = {}, WirelessConfig wireless = {});
+          SimConfig config = {}, WirelessConfig wireless = {},
+          DegradedRoutes* degraded_routes = nullptr);
 
   /// Queue a packet of `flits` flits at `src`'s source queue.
   void inject(graph::NodeId src, graph::NodeId dest, std::uint32_t flits);
@@ -182,7 +193,7 @@ class Network {
   static constexpr std::size_t kVns = 2;
 
   struct InPort {
-    std::deque<Flit> buf[kVns];
+    FlitQueue buf[kVns];
     std::uint32_t capacity = 2;  ///< per virtual network
     graph::EdgeId via_edge = graph::kInvalidId;  ///< feeding wire edge
     bool is_wireless_rx = false;
@@ -208,24 +219,42 @@ class Network {
     double length_mm = 0.0;
     OwnerState vn[kVns];
     std::size_t vn_rr = 0;  ///< flit-level link arbitration between VNs
-    /// Fast-path candidate mask, rebuilt each serviced cycle: bit `slot` is
-    /// set iff that input slot's front flit is a head, ready, routed to this
-    /// output on this VN, and (for wireless) admissible right now.  Slot
-    /// r.in.size() is the source queue.  arbitrate() then reduces to a
-    /// round-robin first-set-bit scan — decisions identical to the naive
-    /// all-queue probe.
+    /// Fast-path candidate mask, kept up to date when a queue's front
+    /// changes: bit `slot` is set iff that input slot's front flit is a
+    /// head for another router whose memoized route leaves through this
+    /// output on this VN.  Slot r.in.size() is the source queue.
+    /// arbitrate_fast() checks readiness and wireless admission while it
+    /// scans the set bits — decisions identical to the naive all-queue
+    /// probe of arbitrate().
     std::uint16_t cand[kVns] = {0, 0};
   };
+
+  /// Largest input-slot count (input ports + the source queue) the 16-bit
+  /// candidate masks can hold.
+  static constexpr std::size_t kMaxSlots = 16;
 
   struct RouterState {
     std::vector<InPort> in;
     std::vector<OutPort> out;
-    std::deque<Flit> source_queue;  ///< unbounded injection queue (VN0)
-    std::deque<Flit> tx_queue;      ///< wireless TX buffer (depth 8)
+    FlitQueue source_queue{16};         ///< unbounded injection queue (VN0)
+    FlitQueue tx_queue{kWiBufferDepth};  ///< wireless TX buffer
     std::int32_t wireless_tx = -1;  ///< index into `out`, -1 if no WI
     std::int32_t wireless_rx = -1;  ///< index into `in`, -1 if no WI
     std::int32_t wi_channel = -1;
-    // Map edge id -> output index, lazily scanned (few ports per router).
+    /// Fast path: the output whose `cand` holds each slot's bit (-1: none).
+    std::int8_t cand_out[kVns][kMaxSlots];
+    /// Fast path: slots whose front head is routed into a fault hole.
+    std::uint16_t hole_slots[kVns] = {0, 0};
+    /// Fast path: input queues (bit 2 * input + vn) whose front flit is
+    /// addressed to this router, i.e. what the eject stage could take.
+    std::uint32_t eject_fronts = 0;
+    /// Fast path: outputs that may have work (an owner or candidates).  A
+    /// bit is set whenever a candidate bit is and cleared lazily when the
+    /// output turns out idle; outputs outside it are not visited.
+    std::uint32_t live_outs = 0;
+    /// Same-channel WI peers and the edge find_edge() credits for a
+    /// wireless flit to each (parallel edges resolve as find_edge does).
+    std::vector<std::pair<graph::NodeId, graph::EdgeId>> wireless_peers;
   };
 
   struct Channel {
@@ -244,7 +273,9 @@ class Network {
   void eject_ready_flits();
   void service_wireless_channels();
   void service_router_outputs();
-  void eject_router(graph::NodeId n, Cycle now);
+  /// Eject the ready front flits addressed to `n` from the input queues
+  /// in `queues` (bit 2 * input + vn).
+  void eject_router(graph::NodeId n, Cycle now, std::uint32_t queues);
   void service_router(graph::NodeId n);
   // --- Active-router worklist (see DESIGN.md, "NoC fast path") ---------
   // Invariant: after refresh_active_list(), active_list_ holds exactly the
@@ -270,18 +301,21 @@ class Network {
   std::int32_t arbitrate_fast(graph::NodeId node, std::uint32_t out_idx,
                               std::size_t vn);
   /// Resolve (and memoize on the flit) the route of the front head of input
-  /// slot `idx` on `vn`; returns the target output index or -1 if the front
-  /// is absent, not a grantable head, or a wireless candidate that does not
-  /// fit the TX queue right now.
+  /// slot `idx` on `vn`.  Returns the target output index, -1 if the front
+  /// is absent or not a head bound elsewhere, or kHoleTarget if its route
+  /// is a fault hole.  Readiness and wireless admission are not checked:
+  /// they change without the front changing.
   std::int32_t candidate_target(graph::NodeId node, std::int32_t idx,
                                 std::size_t vn);
-  /// Recompute the candidate bit of input slot `idx` on `vn` in every
-  /// output's mask (called after that queue's front changed mid-cycle).
+  static constexpr std::int32_t kHoleTarget = -3;
+  /// Fast path: re-derive input slot `idx`'s candidate bit on `vn` after
+  /// that queue's front changed (pop, eject, push into an empty queue,
+  /// purge); a no-op under reference stepping.
   void refresh_candidate(graph::NodeId node, std::int32_t idx,
                          std::size_t vn);
-  void build_candidate_masks(graph::NodeId node);
-  std::deque<Flit>* input_queue(RouterState& r, std::int32_t idx,
-                                std::size_t vn);
+  /// refresh_candidate for every slot of router `node` (purge, table swap).
+  void refresh_all_candidates(graph::NodeId node);
+  FlitQueue* input_queue(RouterState& r, std::int32_t idx, std::size_t vn);
   std::uint32_t output_for_edge(const RouterState& r, graph::EdgeId e) const;
   bool downstream_has_space(const OutPort& out, std::size_t vn) const;
   bool try_move_vn(graph::NodeId node, OutPort& out, std::size_t vn);
@@ -316,9 +350,12 @@ class Network {
   /// up*/down* phase of queued heads and release grants that have not
   /// streamed yet so they re-arbitrate under the new tables.
   void reset_route_state();
-  /// Pre-pass over every router (identical in reference and fast stepping):
-  /// ready front heads whose route is a hole take an exponential-backoff
-  /// wait, and after kFaultMaxRetries waits the packet is declared lost.
+  /// Pre-pass over every router: ready front heads whose route is a hole
+  /// take an exponential-backoff wait, and after kFaultMaxRetries waits the
+  /// packet is declared lost.  Reference stepping probes every front; the
+  /// fast path visits only the slots in `hole_slots` and skips the pass
+  /// while the tables have no hole.  Each probe touches only its own
+  /// front flit, so the visit order does not matter.
   void backoff_unroutable_heads();
   void handle_unreachable(Flit& f);
 
@@ -329,13 +366,10 @@ class Network {
   std::vector<Channel> channels_;
   std::vector<std::uint64_t> edge_flits_;
   std::vector<std::uint64_t> resident_flits_;  ///< flits queued at router n
-  /// Flits sitting in router n's input buffers whose dest is n (i.e. flits
-  /// the eject stage could consume).  Lets eject skip the per-queue probes
-  /// on the vast majority of routers that hold only through-traffic.
-  std::vector<std::uint32_t> ejectable_flits_;
   std::vector<graph::NodeId> active_list_;     ///< sorted, resident > 0
   std::vector<graph::NodeId> newly_active_;    ///< staged for next refresh
   std::vector<bool> active_flags_;  ///< n in active_list_ or newly_active_
+  bool router_emptied_ = false;  ///< a resident count hit 0 since refresh
   Metrics metrics_;
   std::uint64_t in_flight_flits_ = 0;
   PacketId next_packet_ = 0;
@@ -352,7 +386,8 @@ class Network {
   std::vector<std::uint32_t> router_down_;
   std::vector<std::uint32_t> wi_down_;
   std::vector<bool> edge_usable_;           ///< effective liveness mask
-  std::unique_ptr<UpDownRouting> degraded_routing_;
+  DegradedRoutes* degraded_routes_ = nullptr;  ///< caller's memo, nullable
+  std::shared_ptr<const UpDownRouting> degraded_routing_;
   const RoutingAlgorithm* active_routing_ = nullptr;
   std::uint32_t route_epoch_ = 0;           ///< bumped per table rebuild
   std::vector<PacketId> pending_lost_;      ///< purged at the next step()

@@ -1,6 +1,7 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/require.hpp"
 #include "telemetry/telemetry.hpp"
@@ -107,14 +108,34 @@ void Network::recompute_fault_state() {
     // fault has fired these stay active even after every element repairs:
     // in-flight heads may carry down-phase bits from an older tree that the
     // original (hole-intolerant) tables would refuse to route.
-    UpDownOptions opts;
-    opts.wireless_cost = kFaultRerouteWirelessCost;
-    opts.edge_alive = &edge_usable_;
-    opts.allow_unreachable = true;
-    degraded_routing_ = std::make_unique<UpDownRouting>(g, opts);
+    // The tables are a pure function of the mask, so a memo shared by
+    // the networks over this topology builds each mask's tables once; a
+    // memo hit still counts as a rebuild (a table swap).
+    const auto build = [&] {
+      UpDownOptions opts;
+      opts.wireless_cost = kFaultRerouteWirelessCost;
+      opts.edge_alive = &edge_usable_;
+      opts.allow_unreachable = true;
+      return std::make_shared<const UpDownRouting>(g, opts);
+    };
+    if (degraded_routes_ != nullptr) {
+      std::string mask(edge_usable_.size(), '\0');
+      for (std::size_t e = 0; e < mask.size(); ++e) {
+        mask[e] = static_cast<char>(edge_usable_[e]);
+      }
+      degraded_routing_ = degraded_routes_->get(mask, build);
+    } else {
+      degraded_routing_ = build();
+    }
     active_routing_ = degraded_routing_.get();
     degraded_routing_active_ = true;
     ++metrics_.route_rebuilds;
+  }
+  if (!cfg_.reference_stepping) {
+    // New tables, restarted phases: every front's candidate bit is stale.
+    for (graph::NodeId n = 0; n < routers_.size(); ++n) {
+      if (resident_flits_[n] > 0) refresh_all_candidates(n);
+    }
   }
 }
 
@@ -153,9 +174,9 @@ void Network::collect_edge_casualties(graph::EdgeId e,
   for (int i = 0; i < 2; ++i) {
     auto& r = routers_[ends[i]];
     const graph::NodeId far = ends[1 - i];
-    for (const Flit& f : r.tx_queue) {
+    r.tx_queue.for_each([&](const Flit& f) {
       if (f.wi_dest == far) out.push_back(f.packet);
-    }
+    });
     if (r.wireless_tx >= 0) {
       auto& op = r.out[static_cast<std::size_t>(r.wireless_tx)];
       for (std::size_t vn = 0; vn < kVns; ++vn) {
@@ -173,12 +194,11 @@ void Network::collect_router_casualties(graph::NodeId n,
   // down is a no-op: routes avoid it, injection at it is refused, and its
   // queues were emptied when it first went down.
   auto& r = routers_[n];
-  for (const Flit& f : r.source_queue) out.push_back(f.packet);
-  for (const Flit& f : r.tx_queue) out.push_back(f.packet);
+  const auto collect = [&](const Flit& f) { out.push_back(f.packet); };
+  r.source_queue.for_each(collect);
+  r.tx_queue.for_each(collect);
   for (auto& in : r.in) {
-    for (std::size_t vn = 0; vn < kVns; ++vn) {
-      for (const Flit& f : in.buf[vn]) out.push_back(f.packet);
-    }
+    for (std::size_t vn = 0; vn < kVns; ++vn) in.buf[vn].for_each(collect);
   }
   for (auto& op : r.out) {
     for (std::size_t vn = 0; vn < kVns; ++vn) {
@@ -193,7 +213,7 @@ void Network::collect_wi_casualties(graph::NodeId n,
   // traffic.  Flits already queued for (or mid-way through) a wireless
   // transmission are lost; everything else reroutes over the wire mesh.
   auto& r = routers_[n];
-  for (const Flit& f : r.tx_queue) out.push_back(f.packet);
+  r.tx_queue.for_each([&](const Flit& f) { out.push_back(f.packet); });
   if (r.wireless_tx >= 0) {
     auto& op = r.out[static_cast<std::size_t>(r.wireless_tx)];
     for (std::size_t vn = 0; vn < kVns; ++vn) {
@@ -215,22 +235,17 @@ void Network::purge_packets(std::vector<PacketId>& ids) {
   for (graph::NodeId n = 0; n < routers_.size(); ++n) {
     auto& r = routers_[n];
     std::uint64_t removed = 0;
-    std::uint32_t ejectable_removed = 0;
-    const auto sweep = [&](std::deque<Flit>& q, bool counts_ejectable) {
-      for (auto it = q.begin(); it != q.end();) {
-        if (hit(it->packet)) {
-          ++removed;
-          if (counts_ejectable && it->dest == n) ++ejectable_removed;
-          it = q.erase(it);
-        } else {
-          ++it;
-        }
-      }
+    const auto sweep = [&](FlitQueue& q) {
+      q.erase_if([&](const Flit& f) {
+        if (!hit(f.packet)) return false;
+        ++removed;
+        return true;
+      });
     };
-    sweep(r.source_queue, false);
-    sweep(r.tx_queue, false);
+    sweep(r.source_queue);
+    sweep(r.tx_queue);
     for (auto& in : r.in) {
-      for (std::size_t vn = 0; vn < kVns; ++vn) sweep(in.buf[vn], true);
+      for (std::size_t vn = 0; vn < kVns; ++vn) sweep(in.buf[vn]);
     }
     for (auto& op : r.out) {
       for (std::size_t vn = 0; vn < kVns; ++vn) {
@@ -245,11 +260,9 @@ void Network::purge_packets(std::vector<PacketId>& ids) {
     if (removed > 0) {
       VFIMR_REQUIRE(resident_flits_[n] >= removed);
       resident_flits_[n] -= removed;
+      if (resident_flits_[n] == 0) router_emptied_ = true;
       removed_total += removed;
-    }
-    if (ejectable_removed > 0) {
-      VFIMR_REQUIRE(ejectable_flits_[n] >= ejectable_removed);
-      ejectable_flits_[n] -= ejectable_removed;
+      refresh_all_candidates(n);
     }
   }
   for (auto& ch : channels_) {
@@ -274,10 +287,10 @@ void Network::reset_route_state() {
     // Queued heads restart their up*/down* phase: under the new tree the
     // old phase bit is meaningless, and a fresh up-phase route always
     // exists when the destination is reachable at all.
-    const auto restart = [](std::deque<Flit>& q) {
-      for (auto& f : q) {
+    const auto restart = [](FlitQueue& q) {
+      q.for_each([](Flit& f) {
         if (f.is_head()) f.down_phase = false;
-      }
+      });
     };
     restart(r.source_queue);
     restart(r.tx_queue);
@@ -317,13 +330,30 @@ void Network::handle_unreachable(Flit& f) {
 }
 
 void Network::backoff_unroutable_heads() {
-  // Visits every router in id order regardless of stepping mode, so the
-  // reference and fast paths observe identical backoff decisions.
   const Cycle now = metrics_.cycles;
+  if (!cfg_.reference_stepping) {
+    // hole_slots marks exactly the fronts the probe below would find
+    // routed into a hole; the refresh_active_list() before this pass made
+    // active_list_ every router with resident flits.
+    for (graph::NodeId n : active_list_) {
+      auto& r = routers_[n];
+      const auto inputs = static_cast<std::uint32_t>(r.in.size());
+      for (std::size_t vn = 0; vn < kVns; ++vn) {
+        for (std::uint32_t m = r.hole_slots[vn]; m != 0; m &= m - 1) {
+          const auto slot = static_cast<std::uint32_t>(std::countr_zero(m));
+          const std::int32_t idx =
+              slot == inputs ? kSourceInput : static_cast<std::int32_t>(slot);
+          Flit& f = input_queue(r, idx, vn)->front();
+          if (f.ready_cycle <= now) handle_unreachable(f);
+        }
+      }
+    }
+    return;
+  }
   for (graph::NodeId n = 0; n < routers_.size(); ++n) {
     if (resident_flits_[n] == 0) continue;
     auto& r = routers_[n];
-    const auto probe = [&](std::deque<Flit>& q) {
+    const auto probe = [&](FlitQueue& q) {
       if (q.empty()) return;
       Flit& f = q.front();
       if (!f.is_head() || f.ready_cycle > now || f.dest == n) return;

@@ -25,6 +25,7 @@ void Network::setup_wireless(const WirelessConfig& wireless) {
     auto& r = routers_[wi.node];
     InPort rx;
     rx.capacity = kWiBufferDepth;
+    for (auto& q : rx.buf) q = FlitQueue{kWiBufferDepth};
     rx.is_wireless_rx = true;
     r.wireless_rx = static_cast<std::int32_t>(r.in.size());
     r.in.push_back(std::move(rx));
@@ -35,7 +36,17 @@ void Network::setup_wireless(const WirelessConfig& wireless) {
     r.wi_channel = wi.channel;
     channels_[static_cast<std::size_t>(wi.channel)].members.push_back(wi.node);
   }
-  for (auto& ch : channels_) std::sort(ch.members.begin(), ch.members.end());
+  for (auto& ch : channels_) {
+    std::sort(ch.members.begin(), ch.members.end());
+    for (const graph::NodeId n : ch.members) {
+      for (const graph::NodeId peer : ch.members) {
+        if (peer == n) continue;
+        const auto e = g.find_edge(n, peer);
+        routers_[n].wireless_peers.emplace_back(
+            peer, e ? *e : graph::kInvalidId);
+      }
+    }
+  }
 
   // Validate wireless edges connect same-channel WIs.
   for (const auto& ed : g.edges()) {
@@ -86,10 +97,13 @@ void Network::service_wireless_channels() {
           moved.wi_dest = graph::kInvalidId;
           moved.vn = 1;
           rx.push_back(moved);
-          if (moved.dest == hop_dest) ++ejectable_flits_[hop_dest];
-          if (const auto e =
-                  topo_->graph.find_edge(ch.members[ch.token], hop_dest)) {
-            ++edge_flits_[*e];
+          if (rx.size() == 1) {
+            refresh_candidate(hop_dest, dest_router.wireless_rx, 1);
+          }
+          for (const auto& [peer, e] : holder.wireless_peers) {
+            if (peer != hop_dest) continue;
+            if (e != graph::kInvalidId) ++edge_flits_[e];
+            break;
           }
           ++metrics_.energy.wireless_flits;
           ++metrics_.energy.buffer_reads;

@@ -80,12 +80,17 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, double wireless_cost)
     : UpDownRouting{g, UpDownOptions{wireless_cost, nullptr, false}} {}
 
 UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
-    : n_{g.node_count()},
-      allow_unreachable_{opts.allow_unreachable},
-      graph_{&g} {
+    : n_{g.node_count()}, allow_unreachable_{opts.allow_unreachable} {
   const double wireless_cost = opts.wireless_cost;
   VFIMR_REQUIRE(n_ > 0);
   VFIMR_REQUIRE(wireless_cost >= 1.0);
+  VFIMR_REQUIRE_MSG(g.edge_count() < kHole / 2,
+                    "too many edges for the packed route tables");
+  ends_.reserve(g.edge_count());
+  for (const auto& ed : g.edges()) {
+    ends_.push_back(
+        EdgeEnds{ed.a, ed.b, ed.kind == graph::EdgeKind::kWireless});
+  }
   if (opts.edge_alive != nullptr) {
     VFIMR_REQUIRE_MSG(opts.edge_alive->size() == g.edge_count(),
                       "edge liveness mask must cover every edge");
@@ -147,10 +152,7 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
   }
 
   for (auto& per_budget : layers_) {
-    for (auto& layer : per_budget) {
-      layer.table.assign(n_ * n_, RouteDecision{});
-      layer.next.assign(n_ * n_, graph::kInvalidId);
-    }
+    for (auto& layer : per_budget) layer.assign(n_ * n_, kHole);
   }
 
   // Nodes in ascending (level, id) order: the up-move DAG points from larger
@@ -172,8 +174,8 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
   // per fault slice on the hot degraded-rebuild path, and per-destination
   // reallocation of the queue and the candidate lists dominates its cost.
   std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  std::vector<std::pair<RouteDecision, graph::NodeId>> down_opts;
-  std::vector<std::pair<RouteDecision, graph::NodeId>> up_opts;
+  std::vector<RouteDecision> down_opts;
+  std::vector<RouteDecision> up_opts;
 
   for (graph::NodeId dest = 0; dest < n_; ++dest) {
     // ---- Pass 1a: wire-only all-down costs (reverse Dijkstra).  A move
@@ -269,6 +271,7 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
           // next_hop report it (graceful degradation) instead of aborting.
           VFIMR_REQUIRE_MSG(allow_unreachable_,
                             "up*/down* must reach all nodes");
+          has_holes_ = true;
           continue;
         }
         down_opts.clear();
@@ -281,11 +284,11 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
           // is_down = order.less(v, w), precomputed as a.down.
           if (a.down && du[nb][w] != kInfW &&
               du[nb][w] + a.cost <= du[b][v] + kEps) {
-            down_opts.emplace_back(RouteDecision{a.edge, true}, w);
+            down_opts.push_back(RouteDecision{a.edge, true});
           }
           if (!a.down && dup[nb][w] != kInfW &&
               dup[nb][w] + a.cost <= dup[b][v] + kEps) {
-            up_opts.emplace_back(RouteDecision{a.edge, false}, w);
+            up_opts.push_back(RouteDecision{a.edge, false});
           }
         }
         const std::size_t mix =
@@ -296,20 +299,16 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
         auto& up_layer = layers_[b][0];
         // Down-phase flits must have an all-down continuation.
         if (!down_opts.empty()) {
-          const auto& pick = down_opts[mix % down_opts.size()];
-          down_layer.table[v * n_ + dest] = pick.first;
-          down_layer.next[v * n_ + dest] = pick.second;
+          down_layer[v * n_ + dest] =
+              pack(down_opts[mix % down_opts.size()]);
         }
         // Up-phase flits prefer transitioning down when already optimal;
         // this ends the up phase as early as possible.
         if (du[b][v] <= dup[b][v] + kEps && !down_opts.empty()) {
-          up_layer.table[v * n_ + dest] = down_layer.table[v * n_ + dest];
-          up_layer.next[v * n_ + dest] = down_layer.next[v * n_ + dest];
+          up_layer[v * n_ + dest] = down_layer[v * n_ + dest];
         } else {
           VFIMR_REQUIRE(!up_opts.empty());
-          const auto& pick = up_opts[mix % up_opts.size()];
-          up_layer.table[v * n_ + dest] = pick.first;
-          up_layer.next[v * n_ + dest] = pick.second;
+          up_layer[v * n_ + dest] = pack(up_opts[mix % up_opts.size()]);
         }
       }
     }
@@ -321,8 +320,8 @@ RouteDecision UpDownRouting::next_hop(graph::NodeId node, graph::NodeId dest,
                                       bool wireless_used) const {
   VFIMR_REQUIRE(node < n_ && dest < n_);
   VFIMR_REQUIRE(node != dest);
-  const auto& layer = layers_[wireless_used ? 0 : 1][down_phase ? 1 : 0];
-  const auto& d = layer.table[node * n_ + dest];
+  const RouteDecision d = unpack(
+      layers_[wireless_used ? 0 : 1][down_phase ? 1 : 0][node * n_ + dest]);
   // On a fault-degraded instance a hole means "dest unreachable from here":
   // the caller (network backoff/loss logic) must handle it.  On a healthy
   // instance a hole is a construction bug.
@@ -335,7 +334,7 @@ bool UpDownRouting::reachable(graph::NodeId s, graph::NodeId d) const {
   VFIMR_REQUIRE(s < n_ && d < n_);
   if (s == d) return true;
   // A fresh packet starts in the up phase with its wireless budget intact.
-  return layers_[1][0].table[s * n_ + d].edge != graph::kInvalidId;
+  return layers_[1][0][s * n_ + d] != kHole;
 }
 
 std::uint32_t UpDownRouting::walk(graph::NodeId s, graph::NodeId d,
@@ -347,18 +346,17 @@ std::uint32_t UpDownRouting::walk(graph::NodeId s, graph::NodeId d,
   int budget = 1;
   graph::NodeId cur = s;
   while (cur != d) {
-    const auto& layer = layers_[budget][phase ? 1 : 0];
-    const auto dec = layer.table[cur * n_ + d];
-    const auto next = layer.next[cur * n_ + d];
-    VFIMR_REQUIRE(dec.edge != graph::kInvalidId &&
-                  next != graph::kInvalidId);
-    if (graph_->edge(dec.edge).kind == graph::EdgeKind::kWireless) {
+    const RouteDecision dec =
+        unpack(layers_[budget][phase ? 1 : 0][cur * n_ + d]);
+    VFIMR_REQUIRE(dec.edge != graph::kInvalidId);
+    const EdgeEnds& ends = ends_[dec.edge];
+    if (ends.wireless) {
       VFIMR_REQUIRE_MSG(budget == 1, "second wireless hop on a route");
       budget = 0;
       ++wireless;
     }
     phase = dec.down_phase;
-    cur = next;
+    cur = ends.a == cur ? ends.b : ends.a;
     ++hops;
     VFIMR_REQUIRE_MSG(hops <= 4 * n_, "routing loop detected");
   }

@@ -103,6 +103,13 @@ class UpDownRouting final : public RoutingAlgorithm {
   /// true for every pair by construction.
   bool reachable(graph::NodeId s, graph::NodeId d) const;
 
+  /// True when some (node, dest) pair has no legal route in the up phase of
+  /// either wireless-budget layer.  A head meets a hole only there: a
+  /// down-phase head was put in that phase by these tables, and every
+  /// down move they pick leads on to an all-down route.  Always false
+  /// without `allow_unreachable`.
+  bool has_holes() const { return has_holes_; }
+
   /// Length (hops) of the deterministic route from s to d. 0 when s == d.
   std::uint32_t route_hops(graph::NodeId s, graph::NodeId d) const;
 
@@ -110,10 +117,26 @@ class UpDownRouting final : public RoutingAlgorithm {
   std::uint32_t route_wireless_hops(graph::NodeId s, graph::NodeId d) const;
 
  private:
-  /// Table entry for one (phase, wireless-budget) routing layer.
-  struct Layer {
-    std::vector<RouteDecision> table;   // [node * n + dest]
-    std::vector<graph::NodeId> next;    // next node per entry
+  /// One (phase, wireless-budget) routing layer, [node * n + dest], each
+  /// RouteDecision packed into 4 bytes: edge << 1 | down_phase, kHole for
+  /// a hole.  Fault runs keep one instance per distinct liveness mask, so
+  /// the tables stay compact.
+  using Layer = std::vector<std::uint32_t>;
+  static constexpr std::uint32_t kHole = 0xffffffffu;
+  static std::uint32_t pack(RouteDecision d) {
+    return d.edge << 1 | static_cast<std::uint32_t>(d.down_phase);
+  }
+  static RouteDecision unpack(std::uint32_t p) {
+    if (p == kHole) return RouteDecision{};
+    return RouteDecision{p >> 1, (p & 1u) != 0};
+  }
+
+  /// An edge's endpoints and kind, copied so the tables never point into
+  /// the graph they were built from.
+  struct EdgeEnds {
+    graph::NodeId a;
+    graph::NodeId b;
+    bool wireless;
   };
 
   std::uint32_t walk(graph::NodeId s, graph::NodeId d, bool count_wireless)
@@ -122,10 +145,11 @@ class UpDownRouting final : public RoutingAlgorithm {
   std::size_t n_ = 0;
   graph::NodeId root_ = 0;
   bool allow_unreachable_ = false;
+  bool has_holes_ = false;
   // Indexed [budget][phase]: budget 1 = wireless hop still available,
   // budget 0 = wire-only; phase 0 = up*, phase 1 = down*.
   Layer layers_[2][2];
-  const graph::Graph* graph_ = nullptr;  // for wireless-hop classification
+  std::vector<EdgeEnds> ends_;  ///< by EdgeId, for walk()
 };
 
 }  // namespace vfimr::noc

@@ -7,14 +7,11 @@
 
 namespace vfimr::noc {
 
-std::uint64_t sample_poisson(Rng& rng, double mean) {
-  VFIMR_REQUIRE(mean >= 0.0);
-  if (mean == 0.0) return 0;
-  if (mean > 64.0) {
-    const double v = rng.normal(mean, std::sqrt(mean));
-    return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
-  }
-  const double limit = std::exp(-mean);
+namespace {
+
+/// Knuth's method: multiply uniforms until the product drops to
+/// `limit` = exp(-mean).
+std::uint64_t poisson_knuth(Rng& rng, double limit) {
   std::uint64_t k = 0;
   double p = 1.0;
   do {
@@ -22,6 +19,18 @@ std::uint64_t sample_poisson(Rng& rng, double mean) {
     p *= rng.uniform();
   } while (p > limit);
   return k - 1;
+}
+
+}  // namespace
+
+std::uint64_t sample_poisson(Rng& rng, double mean) {
+  VFIMR_REQUIRE(mean >= 0.0);
+  if (mean == 0.0) return 0;
+  if (mean > 64.0) {
+    const double v = rng.normal(mean, std::sqrt(mean));
+    return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
+  }
+  return poisson_knuth(rng, std::exp(-mean));
 }
 
 MatrixTraffic::MatrixTraffic(const Matrix& rates, std::uint32_t packet_flits,
@@ -41,11 +50,15 @@ MatrixTraffic::MatrixTraffic(const Matrix& rates, std::uint32_t packet_flits,
     }
   }
   total_rate_ = running;
+  poisson_limit_ = std::exp(-total_rate_);
 }
 
 void MatrixTraffic::tick(Cycle /*now*/, std::vector<Injection>& out) {
   if (entries_.empty()) return;
-  const std::uint64_t k = sample_poisson(rng_, total_rate_);
+  // sample_poisson, with exp(-rate) computed once instead of every cycle.
+  const std::uint64_t k = total_rate_ > 64.0
+                              ? sample_poisson(rng_, total_rate_)
+                              : poisson_knuth(rng_, poisson_limit_);
   for (std::uint64_t i = 0; i < k; ++i) {
     const double r = rng_.uniform() * total_rate_;
     const auto it = std::lower_bound(

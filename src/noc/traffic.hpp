@@ -37,6 +37,7 @@ class MatrixTraffic final : public TrafficGenerator {
   };
   std::vector<Entry> entries_;
   double total_rate_ = 0.0;
+  double poisson_limit_ = 1.0;  ///< exp(-total_rate_)
   std::uint32_t packet_flits_;
   Rng rng_;
 };

@@ -100,7 +100,7 @@ NetworkEval evaluate_cycle_accurate(const BuiltPlatform& platform,
                                     const noc::SimConfig& sim_cfg,
                                     const power::NocPowerModel& noc_power) {
   noc::Network net{platform.topology, *platform.routing, sim_cfg,
-                   platform.wireless};
+                   platform.wireless, &platform.degraded_routes};
   noc::MatrixTraffic gen{node_traffic, packet_flits, params.traffic_seed};
   net.run(&gen, params.sim_cycles);
   const bool drained = net.drain(params.drain_cycles);
@@ -130,7 +130,7 @@ NetworkEval evaluate_analytical(const BuiltPlatform& platform,
   store::ByteWriter key;
   key(cfg.sim_cycles, cfg.node_cluster, cfg.sync_penalty_cycles, cfg.faults);
   const std::shared_ptr<const noc::AnalyticalNocModel> model =
-      platform.analytical_models->get(key.take(), [&] {
+      platform.analytical_models.get(key.take(), [&] {
         return std::make_shared<const noc::AnalyticalNocModel>(
             platform.topology, *platform.routing, platform.wireless, cfg);
       });

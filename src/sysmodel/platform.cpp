@@ -54,6 +54,24 @@ bool parse_fidelity(const std::string& name, Fidelity& out) {
   return true;
 }
 
+BuiltPlatform::BuiltPlatform(BuiltPlatform&& other) noexcept {
+  *this = std::move(other);
+}
+
+BuiltPlatform& BuiltPlatform::operator=(BuiltPlatform&& other) noexcept {
+  topology = std::move(other.topology);
+  routing = std::move(other.routing);
+  wireless = std::move(other.wireless);
+  thread_to_node = std::move(other.thread_to_node);
+  node_traffic = std::move(other.node_traffic);
+  vfi = std::move(other.vfi);
+  has_vfi = other.has_vfi;
+  wi_count = other.wi_count;
+  analytical_models.clear();
+  degraded_routes.clear();
+  return *this;
+}
+
 PlatformLayout search_platform(const workload::AppProfile& profile,
                                const PlatformParams& params,
                                const power::VfTable& table) {

@@ -126,11 +126,22 @@ struct BuiltPlatform {
   /// depends on the platform plus that config — not on the traffic matrix —
   /// so the phase evaluations of a run (and every sweep point sharing this
   /// platform through a PlatformCache) reuse one construction.  Models hold
-  /// pointers into this platform, so the memo must not outlive it.  Held by
-  /// shared_ptr so BuiltPlatform stays movable.
-  std::shared_ptr<ComputeOnce<std::shared_ptr<const noc::AnalyticalNocModel>>>
-      analytical_models = std::make_shared<
-          ComputeOnce<std::shared_ptr<const noc::AnalyticalNocModel>>>();
+  /// pointers into this platform's topology.
+  mutable ComputeOnce<std::shared_ptr<const noc::AnalyticalNocModel>>
+      analytical_models;
+  /// The degraded up*/down* tables cycle-accurate fault runs over this
+  /// platform swap in, keyed by edge-liveness mask (noc::DegradedRoutes).
+  /// The phase evaluations of a run, and every run of a fault sweep over
+  /// this platform, expand overlapping schedules, so most swaps reuse a
+  /// table an earlier network built.
+  mutable noc::DegradedRoutes degraded_routes;
+
+  BuiltPlatform() = default;
+  /// A move hands over the platform but not its memos: their entries
+  /// point into the moved-from topology, so the moved-to platform starts
+  /// with empty memos and rebuilds what it needs.
+  BuiltPlatform(BuiltPlatform&& other) noexcept;
+  BuiltPlatform& operator=(BuiltPlatform&& other) noexcept;
 };
 
 /// What a platform's design search decides: the Eq. 1 VFI design, the

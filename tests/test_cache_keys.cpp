@@ -639,7 +639,7 @@ TEST(AnalyticalModelKey, KeyedOnWindowClustersAndFaultsNotTraffic) {
   const auto models_after = [&](const NocCase& c) {
     (void)evaluate_network(platform, c.traffic, c.packet_flits, c.params,
                            noc_power);
-    return platform.analytical_models->size();
+    return platform.analytical_models.size();
   };
   ASSERT_EQ(models_after(base), 1u);
 

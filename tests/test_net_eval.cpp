@@ -131,6 +131,86 @@ TEST(NetEval, MemoizedMatchesFreshUnderFaults) {
   EXPECT_EQ(evaluator.size(), 2u);
 }
 
+/// The degraded up*/down* tables of a faulty cycle-accurate run are
+/// memoized on the platform by edge-liveness mask.  A run whose every table
+/// swap hits the memo matches the run that built the tables, and one on a
+/// platform with an empty memo, bit for bit; Metrics::route_rebuilds counts
+/// every swap, hits included.
+TEST(NetEval, DegradedTableMemoReplaysBitIdentically) {
+  const auto profile = workload::make_profile(workload::App::kWC);
+  const FullSystemSim sim;
+  PlatformParams params = small_params(SystemKind::kVfiWinoc);
+  params.faults.link_rate = 40.0;
+  params.faults.router_rate = 20.0;
+  params.faults.wi_rate = 40.0;
+  params.faults.transient_fraction = 0.7;
+  params.faults.seed = 77;
+  const auto eval = [&](const BuiltPlatform& platform) {
+    return evaluate_network(platform, platform.node_traffic,
+                            profile.packet_flits, params, sim.models().noc);
+  };
+  const BuiltPlatform built = build_platform(profile, params, sim.vf_table());
+  const NetworkEval first = eval(built);
+  const std::size_t tables = built.degraded_routes.size();
+  ASSERT_GT(tables, 0u);
+  EXPECT_GE(first.metrics.route_rebuilds, tables);
+
+  const NetworkEval again = eval(built);
+  EXPECT_EQ(built.degraded_routes.size(), tables) << "every swap must hit";
+  EXPECT_EQ(again.metrics.route_rebuilds, first.metrics.route_rebuilds);
+  EXPECT_TRUE(store::encode_network_eval(again) ==
+              store::encode_network_eval(first));
+
+  const BuiltPlatform fresh = build_platform(profile, params, sim.vf_table());
+  EXPECT_TRUE(store::encode_network_eval(eval(fresh)) ==
+              store::encode_network_eval(first));
+}
+
+/// Memo entries point into their platform's topology (an analytical model
+/// keeps a pointer to it), so a move hands over the platform but not the
+/// memos: the moved-to platform evaluates exactly as the original did.
+TEST(NetEval, MovedPlatformStartsWithEmptyMemos) {
+  const FullSystemSim sim;
+  const auto wc = workload::make_profile(workload::App::kWC);
+  PlatformParams analytical = small_params(SystemKind::kVfiWinoc);
+  analytical.fidelity = Fidelity::kAnalytical;
+  PlatformParams faulty = small_params(SystemKind::kVfiWinoc);
+  faulty.faults.link_rate = 40.0;
+  faulty.faults.router_rate = 20.0;
+  faulty.faults.wi_rate = 40.0;
+  faulty.faults.seed = 77;
+  const auto eval = [&](const BuiltPlatform& platform,
+                        const workload::AppProfile& profile,
+                        const PlatformParams& params) {
+    return store::encode_network_eval(
+        evaluate_network(platform, platform.node_traffic,
+                         profile.packet_flits, params, sim.models().noc));
+  };
+
+  BuiltPlatform built = build_platform(wc, analytical, sim.vf_table());
+  const std::string before = eval(built, wc, analytical);
+  const std::string before_faulty = eval(built, wc, faulty);
+  ASSERT_EQ(built.analytical_models.size(), 1u);
+  ASSERT_GT(built.degraded_routes.size(), 0u);
+
+  BuiltPlatform moved{std::move(built)};
+  EXPECT_EQ(moved.analytical_models.size(), 0u);
+  EXPECT_EQ(moved.degraded_routes.size(), 0u);
+  EXPECT_TRUE(eval(moved, wc, analytical) == before);
+  EXPECT_TRUE(eval(moved, wc, faulty) == before_faulty);
+
+  // Move assignment also drops the target's own entries, which point into
+  // the topology it gives up.  Same window and clustering, no faults: a
+  // stale model would be found under the very same key.
+  const auto hist = workload::make_profile(workload::App::kHist);
+  BuiltPlatform target = build_platform(hist, analytical, sim.vf_table());
+  (void)eval(target, hist, analytical);
+  ASSERT_EQ(target.analytical_models.size(), 1u);
+  target = std::move(moved);
+  EXPECT_EQ(target.analytical_models.size(), 0u);
+  EXPECT_TRUE(eval(target, wc, analytical) == before);
+}
+
 TEST(NetEval, KeyIsContentAddressedNotIdentityAddressed) {
   const auto profile = workload::make_profile(workload::App::kHist);
   const FullSystemSim sim;

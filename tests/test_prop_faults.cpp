@@ -150,12 +150,16 @@ TEST(PropFaults, FastSteppingBitIdenticalUnderFaultsOnWinoc) {
     const faults::FaultSchedule sched = faults::make_noc_schedule(
         spec, edges, routers, wis, 1'500, rng.next_u64());
 
+    // The fast runs share a degraded-table memo: the first builds every
+    // table, the second finds them all.  The reference builds its own.
+    DegradedRoutes memo;
     auto run_mode = [&](bool reference) {
       SimConfig c;
       c.node_cluster = design.node_cluster;
       c.faults = sched;
       c.reference_stepping = reference;
-      Network net{topo, routing, c, design.wireless};
+      Network net{topo, routing, c, design.wireless,
+                  reference ? nullptr : &memo};
       MatrixTraffic gen{design.node_traffic, /*packet_flits=*/4, seed};
       net.run(&gen, 1'500);
       EXPECT_TRUE(net.drain(200'000)) << "faulty WiNoC failed to drain";
@@ -163,7 +167,11 @@ TEST(PropFaults, FastSteppingBitIdenticalUnderFaultsOnWinoc) {
     };
     const Network fast = run_mode(false);
     const Network ref = run_mode(true);
+    const std::size_t tables = memo.size();
+    const Network warm = run_mode(false);
+    EXPECT_EQ(memo.size(), tables);
     expect_fault_run_identical(fast, ref);
+    expect_fault_run_identical(warm, ref);
     expect_conserved_with_losses(fast);
   });
 }
@@ -194,6 +202,7 @@ TEST(PropFaults, MutilatedUpDownTerminatesOrReportsUnreachable) {
     opts.allow_unreachable = true;
     const UpDownRouting routing{g, opts};
 
+    bool any_unreachable = false;
     for (graph::NodeId s = 0; s < n; ++s) {
       for (graph::NodeId d = 0; d < n; ++d) {
         if (s == d) continue;
@@ -218,10 +227,14 @@ TEST(PropFaults, MutilatedUpDownTerminatesOrReportsUnreachable) {
         EXPECT_EQ(reached, routing.reachable(s, d))
             << "pair " << s << " -> " << d << " (walk vs reachable())";
         if (!routing.reachable(s, d)) {
+          any_unreachable = true;
           EXPECT_EQ(routing.next_hop(s, d, false).edge, graph::kInvalidId);
         }
       }
     }
+    // On a mesh (no wireless budget to spend) the hole flag the fast path
+    // gates its backoff pre-pass on is exactly "some pair is cut off".
+    EXPECT_EQ(routing.has_holes(), any_unreachable);
   });
 }
 

@@ -158,7 +158,9 @@ TEST(StressSweep, SharedPlatformCacheUnderEightThreadSweep) {
 TEST(StressSweep, FaultyBatchWithRepeatedKeysOnOneSim) {
   // The default memo under contention: eight workers on one sim, a faulty
   // batch in which every request appears three times, so workers race to
-  // fill and read the same platform and evaluation entries.  The reports
+  // fill and read the same platform, evaluation and degraded-table entries
+  // (router faults leave the tables with holes, so the backoff pre-pass
+  // runs too).  The reports
   // must encode to the bytes of a serial batch on a fresh sim, with equal
   // memo counters (compute-once whatever the interleaving).
   const std::vector<workload::AppProfile> profiles = {
@@ -175,6 +177,8 @@ TEST(StressSweep, FaultyBatchWithRepeatedKeysOnOneSim) {
           r.params.sim_cycles = 1'500;
           r.params.drain_cycles = 15'000;
           r.params.faults.link_rate = 30.0;
+          r.params.faults.router_rate = 100.0;
+          r.params.faults.wi_rate = 200.0;
           r.params.faults.core_fail_prob = 0.05;
           r.params.faults.seed = seed;
           requests.push_back(r);
