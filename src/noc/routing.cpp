@@ -84,13 +84,7 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
   const double wireless_cost = opts.wireless_cost;
   VFIMR_REQUIRE(n_ > 0);
   VFIMR_REQUIRE(wireless_cost >= 1.0);
-  VFIMR_REQUIRE_MSG(g.edge_count() < kHole / 2,
-                    "too many edges for the packed route tables");
-  ends_.reserve(g.edge_count());
-  for (const auto& ed : g.edges()) {
-    ends_.push_back(
-        EdgeEnds{ed.a, ed.b, ed.kind == graph::EdgeKind::kWireless});
-  }
+
   if (opts.edge_alive != nullptr) {
     VFIMR_REQUIRE_MSG(opts.edge_alive->size() == g.edge_count(),
                       "edge liveness mask must cover every edge");
@@ -149,7 +143,12 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
                         order.less(v, w)});
     }
     adj_start[v + 1] = adj.size();
+    VFIMR_REQUIRE_MSG(adj_start[v + 1] - adj_start[v] <= kHole / 2,
+                      "node degree too large for the packed route tables");
   }
+  hops_.reserve(adj.size());
+  for (const Adj& a : adj) hops_.push_back(Hop{a.edge, a.nbr, a.wireless});
+  hop_start_.assign(adj_start.begin(), adj_start.end());
 
   for (auto& per_budget : layers_) {
     for (auto& layer : per_budget) layer.assign(n_ * n_, kHole);
@@ -174,8 +173,9 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
   // per fault slice on the hot degraded-rebuild path, and per-destination
   // reallocation of the queue and the candidate lists dominates its cost.
   std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  std::vector<RouteDecision> down_opts;
-  std::vector<RouteDecision> up_opts;
+  // Candidate entries: hop index << 1 | down phase.
+  std::vector<std::uint8_t> down_opts;
+  std::vector<std::uint8_t> up_opts;
 
   for (graph::NodeId dest = 0; dest < n_; ++dest) {
     // ---- Pass 1a: wire-only all-down costs (reverse Dijkstra).  A move
@@ -282,13 +282,15 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
           const int nb = a.wireless ? 0 : b;   // budget after taking e
           const graph::NodeId w = a.nbr;
           // is_down = order.less(v, w), precomputed as a.down.
+          const auto entry =
+              static_cast<std::uint8_t>((k - adj_start[v]) << 1);
           if (a.down && du[nb][w] != kInfW &&
               du[nb][w] + a.cost <= du[b][v] + kEps) {
-            down_opts.push_back(RouteDecision{a.edge, true});
+            down_opts.push_back(static_cast<std::uint8_t>(entry | 1u));
           }
           if (!a.down && dup[nb][w] != kInfW &&
               dup[nb][w] + a.cost <= dup[b][v] + kEps) {
-            up_opts.push_back(RouteDecision{a.edge, false});
+            up_opts.push_back(entry);
           }
         }
         const std::size_t mix =
@@ -299,8 +301,7 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
         auto& up_layer = layers_[b][0];
         // Down-phase flits must have an all-down continuation.
         if (!down_opts.empty()) {
-          down_layer[v * n_ + dest] =
-              pack(down_opts[mix % down_opts.size()]);
+          down_layer[v * n_ + dest] = down_opts[mix % down_opts.size()];
         }
         // Up-phase flits prefer transitioning down when already optimal;
         // this ends the up phase as early as possible.
@@ -308,7 +309,7 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
           up_layer[v * n_ + dest] = down_layer[v * n_ + dest];
         } else {
           VFIMR_REQUIRE(!up_opts.empty());
-          up_layer[v * n_ + dest] = pack(up_opts[mix % up_opts.size()]);
+          up_layer[v * n_ + dest] = up_opts[mix % up_opts.size()];
         }
       }
     }
@@ -320,14 +321,16 @@ RouteDecision UpDownRouting::next_hop(graph::NodeId node, graph::NodeId dest,
                                       bool wireless_used) const {
   VFIMR_REQUIRE(node < n_ && dest < n_);
   VFIMR_REQUIRE(node != dest);
-  const RouteDecision d = unpack(
-      layers_[wireless_used ? 0 : 1][down_phase ? 1 : 0][node * n_ + dest]);
+  const std::uint8_t entry =
+      layers_[wireless_used ? 0 : 1][down_phase ? 1 : 0][node * n_ + dest];
   // On a fault-degraded instance a hole means "dest unreachable from here":
   // the caller (network backoff/loss logic) must handle it.  On a healthy
   // instance a hole is a construction bug.
-  VFIMR_REQUIRE_MSG(allow_unreachable_ || d.edge != graph::kInvalidId,
-                    "routing hole");
-  return d;
+  if (entry == kHole) {
+    VFIMR_REQUIRE_MSG(allow_unreachable_, "routing hole");
+    return RouteDecision{};
+  }
+  return RouteDecision{hop(node, entry).edge, (entry & 1u) != 0};
 }
 
 bool UpDownRouting::reachable(graph::NodeId s, graph::NodeId d) const {
@@ -346,17 +349,16 @@ std::uint32_t UpDownRouting::walk(graph::NodeId s, graph::NodeId d,
   int budget = 1;
   graph::NodeId cur = s;
   while (cur != d) {
-    const RouteDecision dec =
-        unpack(layers_[budget][phase ? 1 : 0][cur * n_ + d]);
-    VFIMR_REQUIRE(dec.edge != graph::kInvalidId);
-    const EdgeEnds& ends = ends_[dec.edge];
-    if (ends.wireless) {
+    const std::uint8_t entry = layers_[budget][phase ? 1 : 0][cur * n_ + d];
+    VFIMR_REQUIRE(entry != kHole);
+    const Hop& h = hop(cur, entry);
+    if (h.wireless) {
       VFIMR_REQUIRE_MSG(budget == 1, "second wireless hop on a route");
       budget = 0;
       ++wireless;
     }
-    phase = dec.down_phase;
-    cur = ends.a == cur ? ends.b : ends.a;
+    phase = (entry & 1u) != 0;
+    cur = h.to;
     ++hops;
     VFIMR_REQUIRE_MSG(hops <= 4 * n_, "routing loop detected");
   }

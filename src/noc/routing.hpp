@@ -117,27 +117,25 @@ class UpDownRouting final : public RoutingAlgorithm {
   std::uint32_t route_wireless_hops(graph::NodeId s, graph::NodeId d) const;
 
  private:
-  /// One (phase, wireless-budget) routing layer, [node * n + dest], each
-  /// RouteDecision packed into 4 bytes: edge << 1 | down_phase, kHole for
-  /// a hole.  Fault runs keep one instance per distinct liveness mask, so
-  /// the tables stay compact.
-  using Layer = std::vector<std::uint32_t>;
-  static constexpr std::uint32_t kHole = 0xffffffffu;
-  static std::uint32_t pack(RouteDecision d) {
-    return d.edge << 1 | static_cast<std::uint32_t>(d.down_phase);
-  }
-  static RouteDecision unpack(std::uint32_t p) {
-    if (p == kHole) return RouteDecision{};
-    return RouteDecision{p >> 1, (p & 1u) != 0};
-  }
-
-  /// An edge's endpoints and kind, copied so the tables never point into
-  /// the graph they were built from.
-  struct EdgeEnds {
-    graph::NodeId a;
-    graph::NodeId b;
+  /// One live edge leaving a node: the edge, its far end and its kind.
+  /// The tables name a hop by its index in the node's list, so they never
+  /// point into the graph they were built from.
+  struct Hop {
+    graph::EdgeId edge;
+    graph::NodeId to;
     bool wireless;
   };
+
+  /// One (phase, wireless-budget) routing layer, [node * n + dest], one
+  /// byte per entry: the chosen hop's index among the node's live hops,
+  /// << 1 | down_phase, or kHole.  Fault runs keep one instance per
+  /// distinct liveness mask, so the tables must stay compact.
+  using Layer = std::vector<std::uint8_t>;
+  static constexpr std::uint8_t kHole = 0xff;
+  /// The hop a table entry at `node` names (entry != kHole).
+  const Hop& hop(graph::NodeId node, std::uint8_t entry) const {
+    return hops_[hop_start_[node] + (entry >> 1)];
+  }
 
   std::uint32_t walk(graph::NodeId s, graph::NodeId d, bool count_wireless)
       const;
@@ -149,7 +147,8 @@ class UpDownRouting final : public RoutingAlgorithm {
   // Indexed [budget][phase]: budget 1 = wireless hop still available,
   // budget 0 = wire-only; phase 0 = up*, phase 1 = down*.
   Layer layers_[2][2];
-  std::vector<EdgeEnds> ends_;  ///< by EdgeId, for walk()
+  std::vector<Hop> hops_;                 ///< live hops, node by node
+  std::vector<std::uint32_t> hop_start_;  ///< node -> its first hop
 };
 
 }  // namespace vfimr::noc
