@@ -81,9 +81,6 @@ class FlitQueue {
   Flit& back() { return ring_[wrap(head_ + size_ - 1)]; }
   /// The i-th flit from the front.
   Flit& operator[](std::uint32_t i) { return ring_[wrap(head_ + i)]; }
-  const Flit& operator[](std::uint32_t i) const {
-    return ring_[wrap(head_ + i)];
-  }
 
   void push_back(const Flit& f) {
     if (size_ == ring_.size()) grow();
@@ -98,10 +95,6 @@ class FlitQueue {
   /// Calls `fn` on every flit, front to back.
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (std::uint32_t i = 0; i < size_; ++i) fn((*this)[i]);
-  }
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
     for (std::uint32_t i = 0; i < size_; ++i) fn((*this)[i]);
   }
 
