@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "common/parallel_for.hpp"
 #include "common/require.hpp"
+#include "store/codec.hpp"
+#include "store/eval_store.hpp"
 #include "sysmodel/system_sim.hpp"
 #include "winoc/design.hpp"
 #include "workload/profile.hpp"
@@ -178,6 +183,109 @@ TEST(FullSystem, MemScaleFollowsLatencyRatio) {
   const auto report = sim.run(profile, fast_params(SystemKind::kVfiWinoc),
                               uniform_baselines(1000.0));
   EXPECT_LT(report.mem_scale, 1.0);
+}
+
+/// One run on a fresh sim as the body of parallel_for(1, threads): one
+/// index runs on the caller, inside a loop that was given `threads`.
+struct BudgetRun {
+  std::string report;  ///< store::encode_system_report bytes
+  std::uint64_t fault_events = 0;
+  NetworkEvaluator::Stats stats;
+};
+
+BudgetRun run_in_loop(const workload::AppProfile& profile,
+                      const PlatformParams& params, std::size_t threads,
+                      store::EvalStore* store = nullptr) {
+  FullSystemSim sim;
+  if (store != nullptr) sim.attach_store(store);
+  BudgetRun out;
+  parallel_for(1, threads, [&](std::size_t) {
+    const SystemReport r = sim.run(profile, params);
+    out.report = store::encode_system_report(r);
+    out.fault_events = r.resilience.noc_fault_events;
+  });
+  out.stats = sim.net_eval().stats();
+  return out;
+}
+
+void expect_stats_equal(const NetworkEvaluator::Stats& a,
+                        const NetworkEvaluator::Stats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.analytical_hits, b.analytical_hits);
+  EXPECT_EQ(a.analytical_misses, b.analytical_misses);
+  EXPECT_EQ(a.cycle_hits, b.cycle_hits);
+  EXPECT_EQ(a.cycle_misses, b.cycle_misses);
+  EXPECT_EQ(a.disk_hits, b.disk_hits);
+  EXPECT_EQ(a.disk_misses, b.disk_misses);
+}
+
+/// A faulty VFI WiNoC WC (link, router and WI faults plus core failures)
+/// and a clean VFI WiNoC HIST.
+std::vector<std::pair<workload::AppProfile, PlatformParams>> budget_cases() {
+  PlatformParams faulty;
+  faulty.kind = SystemKind::kVfiWinoc;
+  faulty.sim_cycles = 3'000;
+  faulty.drain_cycles = 30'000;
+  faulty.faults.link_rate = 30.0;
+  faulty.faults.router_rate = 100.0;
+  faulty.faults.wi_rate = 200.0;
+  faulty.faults.core_fail_prob = 0.05;
+  faulty.faults.seed = 5;
+  PlatformParams clean = faulty;
+  clean.faults = faults::FaultSpec{};
+  return {{workload::make_profile(workload::App::kWC), faulty},
+          {workload::make_profile(workload::App::kHist), clean}};
+}
+
+TEST(FullSystem, ReportIndependentOfThreadBudget) {
+  // A run's report and memo counters must not depend on how many threads
+  // the caller's loop leaves it: one thread and a budget of four (on any
+  // host) give the same bytes, 3 misses and 1 hit per phase-resolved run.
+  for (const auto& [profile, params] : budget_cases()) {
+    const BudgetRun one = run_in_loop(profile, params, 1);
+    const BudgetRun four = run_in_loop(profile, params, 4);
+    EXPECT_TRUE(one.report == four.report) << profile.name();
+    expect_stats_equal(one.stats, four.stats);
+    EXPECT_EQ(one.stats.misses, 3u) << profile.name();
+    EXPECT_EQ(one.stats.hits, 1u) << profile.name();
+    if (params.faults.any_noc()) {
+      EXPECT_GT(one.fault_events, 0u) << profile.name();
+    }
+  }
+}
+
+TEST(FullSystem, ReportIndependentOfThreadBudgetWithStore) {
+  // As above with a cold store attached to each sim: the same records and
+  // counters, whatever order the phases reach the store in.
+  namespace fs = std::filesystem;
+  for (const auto& [profile, params] : budget_cases()) {
+    std::vector<BudgetRun> runs;
+    std::vector<store::StoreStats> store_stats;
+    std::vector<std::size_t> keys;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const fs::path dir = fs::temp_directory_path() /
+                           ("vfimr_budget_test_" + profile.name() + "_" +
+                            std::to_string(threads));
+      std::error_code ec;
+      fs::remove_all(dir, ec);
+      {
+        store::EvalStore st{dir.string()};
+        runs.push_back(run_in_loop(profile, params, threads, &st));
+        st.flush();
+        store_stats.push_back(st.stats());
+        keys.push_back(st.keys());
+      }
+      fs::remove_all(dir, ec);
+    }
+    EXPECT_TRUE(runs[0].report == runs[1].report) << profile.name();
+    expect_stats_equal(runs[0].stats, runs[1].stats);
+    EXPECT_EQ(runs[0].stats.disk_misses, 3u) << profile.name();
+    EXPECT_EQ(store_stats[0].hits, store_stats[1].hits);
+    EXPECT_EQ(store_stats[0].misses, store_stats[1].misses);
+    EXPECT_EQ(store_stats[0].bytes_written, store_stats[1].bytes_written);
+    EXPECT_EQ(keys[0], keys[1]);
+  }
 }
 
 // ---- Paper-shape regressions (the headline claims of §7.3).
