@@ -18,7 +18,15 @@
 //    the exception is rethrown on the calling thread after all workers join.
 //  * threads <= 1 (or count <= 1) runs inline on the calling thread with no
 //    pool — the sequential path used by tests and single-core hosts.
+//  * Thread budget: the loop runs min(threads, count) workers, and each
+//    body runs with the threads its workers leave unused,
+//    max(1, threads / workers).  default_parallelism() returns that budget
+//    inside a body, so a nested loop given default_parallelism() never
+//    oversubscribes the outer loop's threads, and threads = 1 keeps every
+//    nested loop on one thread.  The budget is restored when the body
+//    returns or throws.
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
@@ -30,10 +38,20 @@
 
 namespace vfimr {
 
+namespace detail {
+
+/// Threads granted to the parallel_for body running on this thread; 0
+/// outside any body.
+inline thread_local std::size_t thread_budget = 0;
+
+}  // namespace detail
+
 /// Worker count used when a sweep is asked to pick "a sensible default":
-/// the VFIMR_THREADS environment variable when set to a positive integer,
-/// otherwise std::thread::hardware_concurrency() (>= 1).
+/// inside a parallel_for body, the body's thread budget; otherwise the
+/// VFIMR_THREADS environment variable when set to a positive integer, else
+/// std::thread::hardware_concurrency() (>= 1).
 inline std::size_t default_parallelism() {
+  if (detail::thread_budget > 0) return detail::thread_budget;
   if (const char* env = std::getenv("VFIMR_THREADS")) {
     const long v = std::strtol(env, nullptr, 10);
     if (v >= 1) return static_cast<std::size_t>(v);
@@ -45,17 +63,27 @@ inline std::size_t default_parallelism() {
 inline void parallel_for(std::size_t count, std::size_t threads,
                          const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
-  if (threads <= 1 || count == 1) {
+  const std::size_t workers = std::clamp<std::size_t>(threads, 1, count);
+  const std::size_t budget = std::max<std::size_t>(1, threads / workers);
+  // Grants the running thread `budget` until the scope ends, however the
+  // bodies inside it end.
+  struct BudgetScope {
+    std::size_t saved = detail::thread_budget;
+    explicit BudgetScope(std::size_t b) { detail::thread_budget = b; }
+    ~BudgetScope() { detail::thread_budget = saved; }
+  };
+  if (workers == 1) {
+    const BudgetScope scope{budget};
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
-  const std::size_t workers = std::min(threads, count);
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mu;
 
   auto work = [&]() {
+    const BudgetScope scope{budget};
     while (!failed.load(std::memory_order_relaxed)) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;

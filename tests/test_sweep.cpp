@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -56,6 +58,81 @@ TEST(ParallelFor, PropagatesFirstExceptionAfterJoin) {
   };
   EXPECT_THROW(run(1), std::runtime_error);
   EXPECT_THROW(run(4), std::runtime_error);
+}
+
+/// The budget default_parallelism() reports outside any loop.
+std::size_t outside_budget() {
+  if (const char* env = std::getenv("VFIMR_THREADS")) {
+    const long v = std::strtol(env, nullptr, 10);
+    if (v >= 1) return static_cast<std::size_t>(v);
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+TEST(ParallelFor, BodiesRunWithTheirShareOfTheThreads) {
+  const std::size_t outside = outside_budget();
+  ASSERT_EQ(default_parallelism(), outside);
+  struct Case {
+    std::size_t count, threads, budget;
+  };
+  for (const Case c : {Case{8, 4, 1}, Case{2, 4, 2}, Case{1, 4, 4},
+                       Case{3, 1, 1}}) {
+    std::vector<std::size_t> seen(c.count, 0);
+    parallel_for(c.count, c.threads,
+                 [&](std::size_t i) { seen[i] = default_parallelism(); });
+    for (std::size_t i = 0; i < c.count; ++i) {
+      EXPECT_EQ(seen[i], c.budget)
+          << "index " << i << " of (" << c.count << ", " << c.threads << ")";
+    }
+    EXPECT_EQ(default_parallelism(), outside);
+  }
+
+  // A nested loop gets its share of the body's budget, and the body's own
+  // budget comes back after the nested body returns or throws, on the
+  // caller and on the pool thread alike: each body waits for the other, so
+  // the two run on the loop's two workers.
+  std::vector<std::size_t> inner(2, 0);
+  std::vector<std::size_t> after_return(2, 0);
+  std::vector<std::size_t> after_throw(2, 0);
+  std::vector<std::thread::id> ran_on(2);
+  std::atomic<int> arrived{0};
+  parallel_for(2, 8, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    arrived.fetch_add(1);
+    while (arrived.load() < 2) std::this_thread::yield();
+    parallel_for(2, default_parallelism(),
+                 [&](std::size_t j) {
+                   if (j == 0) inner[i] = default_parallelism();
+                 });
+    after_return[i] = default_parallelism();
+    try {
+      parallel_for(1, 1, [](std::size_t) {
+        throw std::runtime_error{"nested body failed"};
+      });
+    } catch (const std::runtime_error&) {
+    }
+    after_throw[i] = default_parallelism();
+  });
+  EXPECT_NE(ran_on[0], ran_on[1]);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(inner[i], 2u) << "index " << i;
+    EXPECT_EQ(after_return[i], 4u) << "index " << i;
+    EXPECT_EQ(after_throw[i], 4u) << "index " << i;
+  }
+
+  // A throwing body restores the caller's budget too.
+  EXPECT_THROW(parallel_for(4, 2,
+                            [](std::size_t) {
+                              throw std::runtime_error{"body failed"};
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(default_parallelism(), outside);
+  EXPECT_THROW(parallel_for(1, 4,
+                            [](std::size_t) {
+                              throw std::runtime_error{"body failed"};
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(default_parallelism(), outside);
 }
 
 /// Reduced-cycle platform so the full-system runs stay test-sized; the
