@@ -203,20 +203,25 @@ DesignSpaceResult sweep_design_space(const workload::AppProfile& profile,
   }
   need_cycle = need_cycle || (any_auto && promote_top > 0);
 
+  // The baselines run one after the other as the body of a one-index loop
+  // given the sweep's threads, so each run's phases evaluate concurrently
+  // within `threads`, not the process default.
   PhaseBaselines analytical_baseline;
   PhaseBaselines cycle_baseline;
-  if (need_analytical) {
-    PlatformParams p = points.front().params;
-    p.kind = SystemKind::kNvfiMesh;
-    p.fidelity = Fidelity::kAnalytical;
-    analytical_baseline = phase_baselines(sim.run(profile, p));
-  }
-  if (need_cycle) {
-    PlatformParams p = points.front().params;
-    p.kind = SystemKind::kNvfiMesh;
-    p.fidelity = Fidelity::kCycleAccurate;
-    cycle_baseline = phase_baselines(sim.run(profile, p));
-  }
+  parallel_for(1, threads, [&](std::size_t) {
+    if (need_analytical) {
+      PlatformParams p = points.front().params;
+      p.kind = SystemKind::kNvfiMesh;
+      p.fidelity = Fidelity::kAnalytical;
+      analytical_baseline = phase_baselines(sim.run(profile, p));
+    }
+    if (need_cycle) {
+      PlatformParams p = points.front().params;
+      p.kind = SystemKind::kNvfiMesh;
+      p.fidelity = Fidelity::kCycleAccurate;
+      cycle_baseline = phase_baselines(sim.run(profile, p));
+    }
+  });
 
   parallel_for(points.size(), threads, [&](std::size_t i) {
     DesignPointResult& r = out.points[i];

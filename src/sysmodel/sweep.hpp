@@ -47,7 +47,9 @@ struct BatchRequest {
 /// heterogeneous-fleet warmup): results[i] = sim.run(*requests[i].profile,
 /// requests[i].params, requests[i].baselines), computed under parallel_for
 /// with one pre-sized slot per request, so the output is bit-identical for
-/// any `threads` (0 = default_parallelism()).  Repeated platforms and
+/// any `threads` (0 = default_parallelism()).  Each run evaluates its
+/// phases within its share of `threads` (common/parallel_for.hpp), so
+/// threads = 1 runs everything on the caller.  Repeated platforms and
 /// evaluations across slots dedupe in the sim's memo services.
 std::vector<SystemReport> run_batch(const FullSystemSim& sim,
                                     const std::vector<BatchRequest>& requests,
@@ -160,7 +162,8 @@ struct DesignSpaceResult {
 /// the `promote_top` kAuto points with the lowest explored EDP to
 /// cycle-accurate confirmation runs.  Baselines (the NVFI-mesh reference
 /// latencies) are computed once per band from points[0]'s params.  The
-/// promotions are counted in DesignSpaceResult::promotions.
+/// promotions are counted in DesignSpaceResult::promotions.  Every run,
+/// the baselines included, keeps within `threads`.
 /// Deterministic for any `threads` (0 = default_parallelism()).
 DesignSpaceResult sweep_design_space(const workload::AppProfile& profile,
                                      const FullSystemSim& sim,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/parallel_for.hpp"
 #include "common/require.hpp"
 #include "telemetry/telemetry.hpp"
 #include "winoc/thread_mapping.hpp"
@@ -157,26 +158,51 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
   // Step 2: evaluate each planned phase in a scaled injection window.
   // Phases with equal traffic are one simulation: LibInit and Merge share a
   // matrix by construction, and a profile without phase traffic shares one
-  // across all four.
+  // across all four.  No evaluation reads another's result, so the first
+  // phase of each distinct matrix evaluates concurrently, within the
+  // caller's thread budget (common/parallel_for.hpp); the repeats then look
+  // up serially and hit the memo.  Two kinds of run stay on one thread: a
+  // traced run, whose trace and metrics must come in phase order, and an
+  // analytical one, whose evaluation costs less than starting a thread.
   const double window_scale = report.phase_resolved ? kPhaseWindowScale : 1.0;
   PlatformParams phase_params = params;
   phase_params.sim_cycles = std::max<noc::Cycle>(
       1, static_cast<noc::Cycle>(static_cast<double>(params.sim_cycles) *
                                  window_scale));
+  auto evaluate_phase = [&](std::size_t p) {
+    const PhasePlan& plan = plans[p];
+    std::string eval_label;
+    if (tele != nullptr) {
+      eval_label = label + " / " + workload::phase_name(plan.phase);
+    }
+    PhaseResult& pr = report.phase_results[p];
+    pr.net = memo.net_eval.evaluate(built, plan.node_traffic,
+                                    profile.packet_flits, phase_params,
+                                    models_.noc, eval_label);
+    pr.evaluated = true;
+  };
+  std::vector<std::size_t> distinct;
+  for (std::size_t p = 0; p < workload::kPhaseCount; ++p) {
+    if (plans[p].weight <= 0.0) continue;
+    const bool repeat = std::any_of(
+        distinct.begin(), distinct.end(), [&](std::size_t q) {
+          return plans[q].node_traffic == plans[p].node_traffic;
+        });
+    if (!repeat) distinct.push_back(p);
+  }
+  const bool traced = tele != nullptr || params.noc_sim.telemetry != nullptr;
+  const std::size_t threads = traced || analytical_band(params.fidelity)
+                                  ? 1
+                                  : default_parallelism();
+  parallel_for(distinct.size(), threads,
+               [&](std::size_t i) { evaluate_phase(distinct[i]); });
   for (std::size_t p = 0; p < workload::kPhaseCount; ++p) {
     const PhasePlan& plan = plans[p];
     PhaseResult& pr = report.phase_results[p];
     pr.phase = plan.phase;
     pr.rate_packets_per_cycle = plan.rate_packets_per_cycle;
     if (plan.weight <= 0.0) continue;
-    std::string eval_label;
-    if (tele != nullptr) {
-      eval_label = label + " / " + workload::phase_name(plan.phase);
-    }
-    pr.net = memo.net_eval.evaluate(built, plan.node_traffic,
-                                    profile.packet_flits, phase_params,
-                                    models_.noc, eval_label);
-    pr.evaluated = true;
+    if (!pr.evaluated) evaluate_phase(p);
 
     const double base = baselines.latency_cycles[p] > 0.0
                             ? baselines.latency_cycles[p]

@@ -154,6 +154,11 @@ class FullSystemSim {
   /// whole-run matrix in every phase slot, weight 1/4 each, run with twice
   /// the sim_cycles so its half-length phase windows match the full window
   /// — one simulation and three memo hits.
+  /// The distinct phase matrices evaluate concurrently within the caller's
+  /// thread budget (common/parallel_for.hpp): a run starts no thread when
+  /// the budget is 1, and at most its distinct matrix count minus one
+  /// otherwise.  Traced and analytical-band runs evaluate on the caller.
+  /// The report does not depend on the budget.
   /// `baselines`: the per-phase NVFI-mesh latencies (see
   /// phase_baselines()).  A zero entry — every entry by default — uses this
   /// run's own latency, which is correct when params.kind == kNvfiMesh.

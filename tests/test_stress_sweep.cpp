@@ -13,10 +13,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <vector>
 
 #include "common/parallel_for.hpp"
 #include "store/codec.hpp"
+#include "store/eval_store.hpp"
 #include "sysmodel/sweep.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/profile.hpp"
@@ -208,6 +210,62 @@ TEST(StressSweep, FaultyBatchWithRepeatedKeysOnOneSim) {
   EXPECT_EQ(fresh.platform_cache().misses(), 4u);
   EXPECT_EQ(shared.platform_cache().hits(), requests.size() - 4);
   EXPECT_EQ(fresh.platform_cache().hits(), requests.size() - 4);
+}
+
+TEST(StressSweep, NestedPhaseWorkersShareOneSimAndStore) {
+  // Both loop levels at once: a batch of two faulty WiNoC requests at
+  // threads = 4 gives each request a budget of 2, so each run evaluates its
+  // phases on two workers while the other request does the same.  The
+  // phase workers of both runs share the sim's evaluator, its store and
+  // the platform's degraded-table memo (the requests differ only in their
+  // fault seed, so they share one platform).  The reports must encode to
+  // the bytes of a one-thread batch on a fresh sim, with equal counters.
+  namespace fs = std::filesystem;
+  const workload::AppProfile profile =
+      workload::make_profile(workload::App::kWC);
+  std::vector<BatchRequest> requests;
+  for (const std::uint64_t seed : {5u, 6u}) {
+    BatchRequest r;
+    r.profile = &profile;
+    r.params.kind = SystemKind::kVfiWinoc;
+    r.params.sim_cycles = 1'500;
+    r.params.drain_cycles = 15'000;
+    r.params.faults.link_rate = 30.0;
+    r.params.faults.router_rate = 100.0;
+    r.params.faults.wi_rate = 200.0;
+    r.params.faults.seed = seed;
+    requests.push_back(r);
+  }
+
+  const fs::path dir =
+      fs::temp_directory_path() / "vfimr_stress_sweep_nested_store";
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  std::vector<SystemReport> nested;
+  NetworkEvaluator::Stats nested_stats;
+  {
+    store::EvalStore st{dir.string()};
+    FullSystemSim shared;
+    shared.attach_store(&st);
+    nested = run_batch(shared, requests, 4);
+    nested_stats = shared.net_eval().stats();
+  }
+  fs::remove_all(dir, ec);
+  const FullSystemSim fresh;
+  const auto serial = run_batch(fresh, requests, 1);
+  const NetworkEvaluator::Stats serial_stats = fresh.net_eval().stats();
+
+  ASSERT_EQ(nested.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_TRUE(store::encode_system_report(nested[i]) ==
+                store::encode_system_report(serial[i]))
+        << "request " << i;
+    EXPECT_GT(nested[i].resilience.noc_fault_events, 0u) << "request " << i;
+  }
+  EXPECT_EQ(nested_stats.misses, serial_stats.misses);
+  EXPECT_EQ(nested_stats.hits, serial_stats.hits);
+  EXPECT_EQ(nested_stats.disk_misses, serial_stats.misses);
+  EXPECT_EQ(nested_stats.disk_hits, 0u);
 }
 
 TEST(StressSweep, AutoFidelitySweepPromotionIsRaceFree) {
