@@ -227,6 +227,12 @@ int main(int argc, char** argv) {
       static_cast<double>(auto_run.promotions);
   m["bench_sweep.fidelity.counters_consistent"] =
       counters_consistent ? 1.0 : 0.0;
+  // The hardware-independent companion of speedup_auto: cycle-accurate
+  // simulations each sweep ran (its evaluator's misses in that band).
+  m["bench_sweep.fidelity.cycle_sims_cycle"] =
+      static_cast<double>(cycle_sim.net_eval().stats().cycle_misses);
+  m["bench_sweep.fidelity.cycle_sims_auto"] =
+      static_cast<double>(stats.cycle_misses);
   std::cout << "cycle-accurate, " << space.size() << " points:  " << cycle_s
             << " s\n"
             << "Auto (analytical + confirm):  " << auto_s << " s  ("

@@ -24,12 +24,18 @@ ladder's contract:
   * counters_consistent == 1 — the NetworkEvaluator's per-band hit/miss
     counters sum to the totals and both bands saw traffic; a failure here
     means evaluations are escaping their band's accounting.
+  * cycle_sims_cycle / cycle_sims_auto >= MIN_CYCLE_SIM_RATIO (5.0) — the
+    cycle-accurate simulations the cycle-accurate sweep ran, over those
+    Auto ran (each sweep's evaluator misses in that band).  A count, so it
+    reads the same on any runner: the hardware-independent companion of
+    speedup_auto, checked beside its wall-time floor, not instead of it.
 """
 
 import json
 import sys
 
 PREFIX = "bench_sweep.fidelity."
+MIN_CYCLE_SIM_RATIO = 5.0
 
 
 def main(argv):
@@ -59,13 +65,21 @@ def main(argv):
     frontier_match = metric("frontier_match")
     counters_consistent = metric("counters_consistent")
     points = metric("points")
+    cycle_sims_cycle = metric("cycle_sims_cycle")
+    cycle_sims_auto = metric("cycle_sims_auto")
+    sim_ratio = (
+        cycle_sims_cycle / cycle_sims_auto if cycle_sims_auto > 0 else 0.0
+    )
 
     print(
         f"check_fidelity: {points:.0f} design points, "
         f"Auto speedup {speedup:.2f}x (floor {min_speedup:.2f}x), "
         f"latency MAPE {latency_mape:.2%} (cap {max_latency_mape:.2%}), "
         f"frontier_match={frontier_match:.0f}, "
-        f"counters_consistent={counters_consistent:.0f}"
+        f"counters_consistent={counters_consistent:.0f}, "
+        f"cycle-accurate simulations {cycle_sims_cycle:.0f} vs "
+        f"{cycle_sims_auto:.0f} ({sim_ratio:.2f}x, "
+        f"floor {MIN_CYCLE_SIM_RATIO:.2f}x)"
     )
 
     failures = []
@@ -82,6 +96,11 @@ def main(argv):
         failures.append("Auto frontier does not match the cycle-accurate one")
     if counters_consistent != 1.0:
         failures.append("per-band evaluator counters are inconsistent")
+    if sim_ratio < MIN_CYCLE_SIM_RATIO:
+        failures.append(
+            f"Auto avoided too few cycle-accurate simulations: "
+            f"{sim_ratio:.2f}x below floor {MIN_CYCLE_SIM_RATIO:.2f}x"
+        )
 
     if failures:
         for f_msg in failures:
