@@ -163,7 +163,8 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
   // caller's thread budget (common/parallel_for.hpp); the repeats then look
   // up serially and hit the memo.  Two kinds of run stay on one thread: a
   // traced run, whose trace and metrics must come in phase order, and an
-  // analytical one, whose evaluation costs less than starting a thread.
+  // analytical one, which comes as one of a sweep's many points (DESIGN.md
+  // §11 has the measured trade-off).
   const double window_scale = report.phase_resolved ? kPhaseWindowScale : 1.0;
   PlatformParams phase_params = params;
   phase_params.sim_cycles = std::max<noc::Cycle>(
