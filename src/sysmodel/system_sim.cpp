@@ -161,10 +161,8 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
   // across all four.  No evaluation reads another's result, so the first
   // phase of each distinct matrix evaluates concurrently, within the
   // caller's thread budget (common/parallel_for.hpp); the repeats then look
-  // up serially and hit the memo.  Two kinds of run stay on one thread: a
-  // traced run, whose trace and metrics must come in phase order, and an
-  // analytical one, which comes as one of a sweep's many points (DESIGN.md
-  // §11 has the measured trade-off).
+  // up serially and hit the memo.  A traced run stays on one thread: its
+  // trace and metrics must come in phase order.
   const double window_scale = report.phase_resolved ? kPhaseWindowScale : 1.0;
   PlatformParams phase_params = params;
   phase_params.sim_cycles = std::max<noc::Cycle>(
@@ -192,10 +190,7 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
     if (!repeat) distinct.push_back(p);
   }
   const bool traced = tele != nullptr || params.noc_sim.telemetry != nullptr;
-  const std::size_t threads = traced || analytical_band(params.fidelity)
-                                  ? 1
-                                  : default_parallelism();
-  parallel_for(distinct.size(), threads,
+  parallel_for(distinct.size(), traced ? 1 : default_parallelism(),
                [&](std::size_t i) { evaluate_phase(distinct[i]); });
   for (std::size_t p = 0; p < workload::kPhaseCount; ++p) {
     const PhasePlan& plan = plans[p];

@@ -157,7 +157,7 @@ class FullSystemSim {
   /// The distinct phase matrices evaluate concurrently within the caller's
   /// thread budget (common/parallel_for.hpp): a run starts no thread when
   /// the budget is 1, and at most its distinct matrix count minus one
-  /// otherwise.  Traced and analytical-band runs evaluate on the caller.
+  /// otherwise.  A traced run evaluates on the caller.
   /// The report does not depend on the budget.
   /// `baselines`: the per-phase NVFI-mesh latencies (see
   /// phase_baselines()).  A zero entry — every entry by default — uses this

@@ -213,28 +213,33 @@ TEST(StressSweep, FaultyBatchWithRepeatedKeysOnOneSim) {
 }
 
 TEST(StressSweep, NestedPhaseWorkersShareOneSimAndStore) {
-  // Both loop levels at once: a batch of two faulty WiNoC requests at
-  // threads = 4 gives each request a budget of 2, so each run evaluates its
-  // phases on two workers while the other request does the same.  The
-  // phase workers of both runs share the sim's evaluator, its store and
-  // the platform's degraded-table memo (the requests differ only in their
-  // fault seed, so they share one platform).  The reports must encode to
-  // the bytes of a one-thread batch on a fresh sim, with equal counters.
+  // Both loop levels at once: a batch of four faulty WiNoC requests at
+  // threads = 8 gives each request a budget of 2, so each run evaluates its
+  // phases on two workers while the other requests do the same.  The
+  // phase workers of all runs share the sim's evaluator, its store and
+  // the platform's memos (the requests differ only in their fault seed and
+  // band, so they share one platform): the degraded-table memo of the two
+  // cycle-accurate runs, and the analytical-model memo whose one model the
+  // phases of each analytical (kAuto) run share.  The reports must encode
+  // to the bytes of a one-thread batch on a fresh sim, with equal counters.
   namespace fs = std::filesystem;
   const workload::AppProfile profile =
       workload::make_profile(workload::App::kWC);
   std::vector<BatchRequest> requests;
-  for (const std::uint64_t seed : {5u, 6u}) {
-    BatchRequest r;
-    r.profile = &profile;
-    r.params.kind = SystemKind::kVfiWinoc;
-    r.params.sim_cycles = 1'500;
-    r.params.drain_cycles = 15'000;
-    r.params.faults.link_rate = 30.0;
-    r.params.faults.router_rate = 100.0;
-    r.params.faults.wi_rate = 200.0;
-    r.params.faults.seed = seed;
-    requests.push_back(r);
+  for (const Fidelity band : {Fidelity::kCycleAccurate, Fidelity::kAuto}) {
+    for (const std::uint64_t seed : {5u, 6u}) {
+      BatchRequest r;
+      r.profile = &profile;
+      r.params.kind = SystemKind::kVfiWinoc;
+      r.params.fidelity = band;
+      r.params.sim_cycles = 1'500;
+      r.params.drain_cycles = 15'000;
+      r.params.faults.link_rate = 30.0;
+      r.params.faults.router_rate = 100.0;
+      r.params.faults.wi_rate = 200.0;
+      r.params.faults.seed = seed;
+      requests.push_back(r);
+    }
   }
 
   const fs::path dir =
@@ -247,7 +252,7 @@ TEST(StressSweep, NestedPhaseWorkersShareOneSimAndStore) {
     store::EvalStore st{dir.string()};
     FullSystemSim shared;
     shared.attach_store(&st);
-    nested = run_batch(shared, requests, 4);
+    nested = run_batch(shared, requests, 8);
     nested_stats = shared.net_eval().stats();
   }
   fs::remove_all(dir, ec);
@@ -260,7 +265,10 @@ TEST(StressSweep, NestedPhaseWorkersShareOneSimAndStore) {
     EXPECT_TRUE(store::encode_system_report(nested[i]) ==
                 store::encode_system_report(serial[i]))
         << "request " << i;
-    EXPECT_GT(nested[i].resilience.noc_fault_events, 0u) << "request " << i;
+    if (!analytical_band(requests[i].params.fidelity)) {
+      EXPECT_GT(nested[i].resilience.noc_fault_events, 0u)
+          << "request " << i;
+    }
   }
   EXPECT_EQ(nested_stats.misses, serial_stats.misses);
   EXPECT_EQ(nested_stats.hits, serial_stats.hits);
