@@ -138,17 +138,14 @@ int main(int argc, char** argv) {
     sim.attach_store(cache.store());
     sysmodel::IncrementalOptions opts;
     opts.store = cache.store();
-    opts.sweep_name = std::string{"fig8"} + (small ? "-small" : "") + "-" +
-                      sysmodel::fidelity_name(fidelity);
     opts.shard_index = shard_index;
     opts.shard_count = shard_count;
     inc = sysmodel::incremental_sweep_comparisons(profiles, sim, params,
                                                   opts);
     comparisons = std::move(inc.comparisons);
     valid = inc.valid;
-    std::cout << "incremental sweep '" << opts.sweep_name << "': "
-              << inc.reused_points << " reused, " << inc.evaluated_points
-              << " evaluated, " << inc.skipped_points
+    std::cout << "incremental sweep: " << inc.reused_points << " reused, "
+              << inc.evaluated_points << " evaluated, " << inc.skipped_points
               << " owned by other shards\n";
   } else {
     comparisons = sysmodel::sweep_comparisons(profiles, sim, params);
@@ -220,8 +217,6 @@ int main(int argc, char** argv) {
     m["fig8.incremental.evaluated"] =
         static_cast<double>(inc.evaluated_points);
     m["fig8.incremental.skipped"] = static_cast<double>(inc.skipped_points);
-    m["fig8.incremental.manifest_prior_matches"] =
-        static_cast<double>(inc.manifest_prior_matches);
     m["fig8.net_eval.hits"] = static_cast<double>(stats.hits);
     m["fig8.net_eval.misses"] = static_cast<double>(stats.misses);
     m["fig8.net_eval.disk_hits"] = static_cast<double>(stats.disk_hits);

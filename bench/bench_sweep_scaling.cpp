@@ -270,7 +270,6 @@ int main(int argc, char** argv) {
     cold_sim.attach_store(&st);
     sysmodel::IncrementalOptions opts;
     opts.store = &st;
-    opts.sweep_name = "bench-sweep";
     const auto s0 = std::chrono::steady_clock::now();
     cold_run = sysmodel::incremental_sweep_comparisons(profiles, cold_sim,
                                                        params, opts);
@@ -284,7 +283,6 @@ int main(int argc, char** argv) {
     warm_sim.attach_store(&st);
     sysmodel::IncrementalOptions opts;
     opts.store = &st;
-    opts.sweep_name = "bench-sweep";
     const auto s0 = std::chrono::steady_clock::now();
     warm_run = sysmodel::incremental_sweep_comparisons(profiles, warm_sim,
                                                        params, opts);

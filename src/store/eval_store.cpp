@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <system_error>
 
 #include "common/require.hpp"
@@ -42,12 +44,6 @@ void fields(V& v, S& h) {
   v(h.magic, h.format, h.key_len, h.val_len, h.key_hash, h.crc);
 }
 
-void append_header(std::string& out, const RecordHeader& h) {
-  ByteWriter w;
-  w(h);
-  out += w.bytes();
-}
-
 bool parse_header(const char* p, std::size_t n, RecordHeader& h) {
   ByteReader r{std::string_view{p, n}};
   r(h);
@@ -66,10 +62,22 @@ std::uint32_t record_crc(std::string_view key, std::string_view value) {
   return crc32(value, crc32(key));
 }
 
+/// The serialized header of the record that holds `key` and `value`.
+std::string record_header(std::string_view key, std::string_view value) {
+  RecordHeader h;
+  h.key_len = key.size();
+  h.val_len = value.size();
+  h.key_hash = fnv1a64(key);
+  h.crc = record_crc(key, value);
+  ByteWriter w;
+  w(h);
+  return w.take();
+}
+
 /// Advisory exclusive lock on `<dir>/LOCK`, held for the scope.  Advisory
 /// by design: commits are already safe against readers (atomic renames of
 /// unique names); the lock serializes concurrent writer processes so their
-/// segment commits — and any future compaction — cannot interleave.
+/// segment commits cannot interleave.
 class ScopedDirLock {
  public:
   explicit ScopedDirLock(const std::string& dir) {
@@ -97,28 +105,30 @@ class ScopedDirLock {
 #endif
 };
 
-/// Write `data` to `path` and force it to stable storage before returning.
-bool write_file_synced(const std::string& path, const std::string& data) {
-#ifdef VFIMR_STORE_POSIX
-  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) return false;
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n <= 0) {
-      ::close(fd);
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
+/// Write every record of `batch` to `path` and force the file to stable
+/// storage before returning.  Records stream out one by one from where they
+/// lie: freeing a multi-MB buffer of the joined batch would raise glibc's
+/// mmap threshold, keeping later large allocations resident on the heap.
+bool write_segment_synced(
+    const std::string& path,
+    const std::vector<std::pair<std::string, std::string>>& batch) {
+  struct Closer {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+  std::unique_ptr<std::FILE, Closer> f{std::fopen(path.c_str(), "wb")};
+  if (!f) return false;
+  const auto put = [&f](std::string_view s) {
+    return std::fwrite(s.data(), 1, s.size(), f.get()) == s.size();
+  };
+  bool ok = true;
+  for (const auto& [key, value] : batch) {
+    ok = ok && put(record_header(key, value)) && put(key) && put(value);
   }
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  return synced;
-#else
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  return static_cast<bool>(out);
+  ok = std::fflush(f.get()) == 0 && ok;
+#ifdef VFIMR_STORE_POSIX
+  ok = ok && ::fsync(::fileno(f.get())) == 0;
 #endif
+  return std::fclose(f.release()) == 0 && ok;
 }
 
 std::uint64_t process_tag() {
@@ -148,15 +158,26 @@ std::string domain_key(KeyDomain domain, std::string_view key) {
   return out;
 }
 
-EvalStore::EvalStore(std::string root, std::size_t shards)
-    : shards_(shards == 0 ? 1 : shards) {
-  dir_ = root + "/v" + std::to_string(kStoreFormatVersion) + "-c" +
-         std::to_string(kCodecVersion);
+EvalStore::EvalStore(std::string root)
+    : dir_{root + "/v" + std::to_string(kStoreFormatVersion) + "-c" +
+           std::to_string(kCodecVersion)} {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   VFIMR_REQUIRE_MSG(!ec, "cannot create evaluation store directory '"
                              << dir_ << "': " << ec.message());
-  refresh();
+  std::vector<std::string> names;
+  for (fs::directory_iterator it{dir_, ec}, end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() > 4 && name.rfind("seg-", 0) == 0 &&
+        name.compare(name.size() - 4, 4, ".seg") == 0) {
+      names.push_back(name);
+    }
+  }
+  // Deterministic index order regardless of directory enumeration order.
+  // No lock: no other thread can reach the store before it is constructed.
+  std::sort(names.begin(), names.end());
+  for (const std::string& name : names) scan_segment_locked(name);
 }
 
 EvalStore::~EvalStore() {
@@ -178,7 +199,6 @@ void EvalStore::scan_segment_locked(const std::string& name) {
 
   const std::uint32_t file_id = static_cast<std::uint32_t>(files_.size());
   files_.push_back(name);
-  scanned_.insert(name);
 
   char header_buf[kHeaderBytes];
   std::uint64_t offset = 0;
@@ -208,24 +228,6 @@ void EvalStore::scan_segment_locked(const std::string& name) {
     }
     offset += kHeaderBytes + h.key_len + h.val_len;
   }
-}
-
-void EvalStore::refresh() {
-  std::lock_guard<std::mutex> lock{mutex_};
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (fs::directory_iterator it{dir_, ec}, end; !ec && it != end;
-       it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (name.size() > 4 && name.rfind("seg-", 0) == 0 &&
-        name.compare(name.size() - 4, 4, ".seg") == 0 &&
-        scanned_.count(name) == 0) {
-      names.push_back(name);
-    }
-  }
-  // Deterministic index order regardless of directory enumeration order.
-  std::sort(names.begin(), names.end());
-  for (const std::string& name : names) scan_segment_locked(name);
 }
 
 bool EvalStore::read_record_locked(const Loc& loc, std::string_view key,
@@ -310,139 +312,34 @@ void EvalStore::flush() {
   }
   if (batch.empty()) return;
 
-  // Bucket by key-hash shard so independent key ranges land in independent
-  // segment files (smaller scan units, and a natural layout for future
-  // per-shard compaction).
-  std::vector<std::string> shard_bytes(shards_);
-  for (const auto& [key, value] : batch) {
-    RecordHeader h;
-    h.key_len = key.size();
-    h.val_len = value.size();
-    h.key_hash = fnv1a64(key);
-    h.crc = record_crc(key, value);
-    std::string& out = shard_bytes[h.key_hash % shards_];
-    append_header(out, h);
-    out += key;
-    out += value;
-  }
-
-  const ScopedDirLock dir_lock{dir_};
-  const std::uint64_t seq = next_flush_seq();
-  std::uint64_t written = 0;
-  std::vector<std::string> committed;
-  for (std::size_t s = 0; s < shards_; ++s) {
-    if (shard_bytes[s].empty()) continue;
-    std::string base = "s";
-    base += std::to_string(s);
-    base += '-';
-    base += std::to_string(process_tag());
-    base += '-';
-    base += std::to_string(seq);
-    const std::string tmp = dir_ + "/tmp-" + base + ".part";
-    const std::string seg_name = "seg-" + base + ".seg";
-    if (!write_file_synced(tmp, shard_bytes[s])) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      continue;  // lost batch, committed data untouched
-    }
+  std::string base = std::to_string(process_tag());
+  base += '-';
+  base += std::to_string(next_flush_seq());
+  const std::string tmp = dir_ + "/tmp-" + base + ".part";
+  const std::string seg_name = "seg-" + base + ".seg";
+  {
+    const ScopedDirLock dir_lock{dir_};
     std::error_code ec;
+    if (!write_segment_synced(tmp, batch)) {
+      fs::remove(tmp, ec);
+      return;  // lost batch, committed data untouched
+    }
     fs::rename(tmp, dir_ + "/" + seg_name, ec);
     if (ec) {
       fs::remove(tmp, ec);
-      continue;
+      return;
     }
-    written += shard_bytes[s].size();
-    committed.push_back(seg_name);
   }
 
+  std::uint64_t written = 0;
+  for (const auto& [key, value] : batch) {
+    written += kHeaderBytes + key.size() + value.size();
+  }
   std::lock_guard<std::mutex> lock{mutex_};
   stats_.bytes_written += written;
-  // Index our own segments (the records are also in fresh_, but indexing
+  // Index our own segment (the records are also in fresh_, but indexing
   // keeps keys()/segments() and future lookups consistent with a re-open).
-  for (const std::string& name : committed) scan_segment_locked(name);
-}
-
-namespace {
-
-std::string hex64(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-}  // namespace
-
-bool EvalStore::put_meta(std::string_view key, std::string_view value) {
-  RecordHeader h;
-  h.key_len = key.size();
-  h.val_len = value.size();
-  h.key_hash = fnv1a64(key);
-  h.crc = record_crc(key, value);
-  std::string bytes;
-  bytes.reserve(kHeaderBytes + key.size() + value.size());
-  append_header(bytes, h);
-  bytes += key;
-  bytes += value;
-
-  const std::string base = hex64(h.key_hash);
-  const std::string tmp =
-      dir_ + "/tmp-meta-" + base + "-" + std::to_string(process_tag()) +
-      ".part";
-  const ScopedDirLock dir_lock{dir_};
-  if (!write_file_synced(tmp, bytes)) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-    return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, dir_ + "/meta-" + base + ".mf", ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  std::lock_guard<std::mutex> lock{mutex_};
-  stats_.bytes_written += bytes.size();
-  return true;
-}
-
-bool EvalStore::get_meta(std::string_view key, std::string& value) {
-  const std::string path = dir_ + "/meta-" + hex64(fnv1a64(key)) + ".mf";
-  std::ifstream in{path, std::ios::binary};
-  if (!in) return false;
-  in.seekg(0, std::ios::end);
-  const std::uint64_t file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0);
-  char header_buf[kHeaderBytes];
-  if (file_size < kHeaderBytes || !in.read(header_buf, kHeaderBytes)) {
-    return false;
-  }
-  RecordHeader h;
-  if (!parse_header(header_buf, kHeaderBytes, h) || h.magic != kMagic ||
-      h.format != kStoreFormatVersion || h.key_len != key.size() ||
-      !payload_fits(h, file_size - kHeaderBytes)) {
-    return false;
-  }
-  std::string stored_key(static_cast<std::size_t>(h.key_len), '\0');
-  std::string stored_val(static_cast<std::size_t>(h.val_len), '\0');
-  if (!in.read(stored_key.data(),
-               static_cast<std::streamsize>(stored_key.size())) ||
-      !in.read(stored_val.data(),
-               static_cast<std::streamsize>(stored_val.size()))) {
-    return false;
-  }
-  if (record_crc(stored_key, stored_val) != h.crc || stored_key != key) {
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> lock{mutex_};
-    stats_.bytes_read += kHeaderBytes + h.key_len + h.val_len;
-  }
-  value = std::move(stored_val);
-  return true;
+  scan_segment_locked(seg_name);
 }
 
 StoreStats EvalStore::stats() const {

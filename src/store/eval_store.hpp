@@ -12,22 +12,24 @@
 // wrong data.
 //
 // On-disk layout (under `<root>/v<kStoreFormatVersion>-c<kCodecVersion>/`):
-//   seg-s<shard>-<pid>-<seq>.seg   committed, immutable segment files
-//   tmp-...part                    in-flight writer batches (pre-rename)
-//   LOCK                           advisory flock taken around commits
+//   seg-<pid>-<seq>.seg   committed, immutable segment files (earlier
+//                         builds named them seg-s<shard>-<pid>-<seq>.seg;
+//                         every seg-*.seg name is read)
+//   tmp-<pid>-<seq>.part  an in-flight flush (pre-rename)
+//   LOCK                  advisory flock taken around commits
 //
 // Each segment is a run of self-delimiting records:
 //   [magic u32][format u32][key_len u64][val_len u64][key_hash u64]
 //   [crc32(key+value) u32][key bytes][value bytes]
 //
 // Write path: put() queues records in memory (immediately visible to this
-// process's get()); flush() buckets them by key-hash shard, writes one
-// fsynced temp file per non-empty shard and atomically renames it into
-// place while holding the advisory LOCK — so concurrent writer processes
-// (sharded sweep workers, `--shard i/N`) interleave whole segments, never
-// partial records, and a crash leaves only ignorable tmp files.
+// process's get()); flush() streams the batch, record by record, into one
+// fsynced temp file and atomically renames it into place while holding the
+// advisory LOCK — so concurrent writer processes (sharded sweep workers,
+// `--shard i/N`) interleave whole segments, never partial records, and a
+// crash leaves only an ignorable tmp file.
 //
-// Read path: open() scans every committed segment's record headers into an
+// Read path: opening scans every committed segment's record headers into an
 // in-memory index (key_hash -> file locations).  A truncated tail or a
 // corrupt header ends that segment's scan (the committed prefix stays
 // usable); a record whose format version differs is skipped and counted.
@@ -43,7 +45,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -86,7 +87,7 @@ class EvalStore {
   /// Opens (creating if needed) the store under `<root>/v<format>-c<codec>`
   /// and indexes every committed segment.  Throws RequirementError when the
   /// directory cannot be created.
-  explicit EvalStore(std::string root, std::size_t shards = 8);
+  explicit EvalStore(std::string root);
 
   /// Flushes pending records (best-effort: a failing disk loses the batch,
   /// never corrupts committed segments).
@@ -101,31 +102,14 @@ class EvalStore {
   bool get(std::string_view key, std::string& value);
 
   /// Queue a record for commit.  Immediately visible to this process's
-  /// get(); durable (and visible to other processes' next open/refresh)
-  /// after flush().  A key already present is left as-is: records are
-  /// content-addressed, so an overwrite could only rewrite the same bytes.
+  /// get(); durable (and visible to stores opened later) after flush().  A
+  /// key already present is left as-is: records are content-addressed, so
+  /// an overwrite could only rewrite the same bytes.
   void put(std::string_view key, std::string value);
 
-  /// Commit pending records: one fsynced temp segment per non-empty shard,
-  /// atomically renamed into place under the advisory directory lock.
+  /// Commit pending records: one fsynced temp segment, atomically renamed
+  /// into place under the advisory directory lock.
   void flush();
-
-  /// Named, *mutable* metadata record (e.g. a sweep manifest): unlike put(),
-  /// a later put_meta for the same key replaces the value.  Each meta key
-  /// lives in its own `meta-<hash>.mf` file, written with the same
-  /// CRC-framed record format and committed by atomic rename under the
-  /// directory lock — latest committed write wins.  Durable immediately (no
-  /// flush() needed).  Returns false when the disk write fails.
-  bool put_meta(std::string_view key, std::string_view value);
-
-  /// Read back a meta record: true + value when the file exists, frames
-  /// correctly, passes its CRC and stores exactly `key`; false otherwise
-  /// (corrupt or foreign-version meta is ignored, never trusted).
-  bool get_meta(std::string_view key, std::string& value);
-
-  /// Index segments committed by other processes since open()/last
-  /// refresh().
-  void refresh();
 
   StoreStats stats() const;
   /// Distinct keys visible to get() (indexed + pending).
@@ -147,10 +131,8 @@ class EvalStore {
                           std::string& value);
 
   std::string dir_;
-  std::size_t shards_;
   mutable std::mutex mutex_;
   std::vector<std::string> files_;   ///< indexed segment file names
-  std::set<std::string> scanned_;    ///< names already indexed
   std::unordered_map<std::uint64_t, std::vector<Loc>> index_;
   /// Records this process put() but other processes may not see yet; kept
   /// for the process lifetime so get() never re-reads what we just wrote.
@@ -160,14 +142,13 @@ class EvalStore {
 };
 
 /// Compose a domain-tagged store key: one store serves several key spaces
-/// (network evaluations, platform designs, sweep points, sweep manifests),
-/// and the domain byte guarantees they can never collide even if two
-/// domains serialized identical input bytes.
+/// (network evaluations, platform designs, sweep points), and the domain
+/// byte guarantees they can never collide even if two domains serialized
+/// identical input bytes.
 enum class KeyDomain : std::uint8_t {
   kNetworkEval = 1,
   kPlatformDesign = 2,
   kSweepPoint = 3,
-  kSweepManifest = 4,
 };
 
 std::string domain_key(KeyDomain domain, std::string_view key);

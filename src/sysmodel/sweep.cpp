@@ -1,7 +1,6 @@
 #include "sysmodel/sweep.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/parallel_for.hpp"
 #include "common/require.hpp"
@@ -66,40 +65,12 @@ IncrementalSweepResult incremental_sweep_comparisons(
   IncrementalSweepResult out;
   out.comparisons.resize(n);
   out.valid.assign(n, 0);
-  out.reused.assign(n, 0);
 
   std::vector<std::string> keys(n);
-  std::vector<std::uint64_t> hashes(n);
   for (std::size_t i = 0; i < n; ++i) {
     keys[i] = store::domain_key(
         store::KeyDomain::kSweepPoint,
         comparison_point_key(profiles[i], sim, base_params));
-    hashes[i] = store::fnv1a64(keys[i]);
-  }
-
-  // Compare against the prior manifest (diagnostics: how much of this sweep
-  // is unchanged since the last run under this name).
-  const std::string manifest_key =
-      options.sweep_name.empty()
-          ? std::string{}
-          : store::domain_key(store::KeyDomain::kSweepManifest,
-                              options.sweep_name);
-  if (!manifest_key.empty()) {
-    std::string bytes;
-    if (st.get_meta(manifest_key, bytes)) {
-      store::ByteReader r{bytes};
-      std::vector<std::uint64_t> prior;
-      r(prior);
-      if (r.done()) {
-        out.had_prior_manifest = true;
-        std::sort(prior.begin(), prior.end());
-        for (const std::uint64_t h : hashes) {
-          if (std::binary_search(prior.begin(), prior.end(), h)) {
-            ++out.manifest_prior_matches;
-          }
-        }
-      }
-    }
   }
 
   // Resolve store-first; collect the points this shard must evaluate.
@@ -109,7 +80,6 @@ IncrementalSweepResult incremental_sweep_comparisons(
     if (st.get(keys[i], bytes) &&
         store::decode_system_comparison(bytes, out.comparisons[i])) {
       out.valid[i] = 1;
-      out.reused[i] = 1;
       ++out.reused_points;
     } else if (i % options.shard_count == options.shard_index) {
       to_eval.push_back(i);
@@ -128,51 +98,6 @@ IncrementalSweepResult incremental_sweep_comparisons(
   });
   out.evaluated_points = to_eval.size();
   if (!to_eval.empty()) st.flush();
-
-  // Record this sweep's composition: the point-key hash list, input order.
-  if (!manifest_key.empty()) {
-    store::ByteWriter w;
-    w(hashes);
-    st.put_meta(manifest_key, w.bytes());
-  }
-  return out;
-}
-
-AutoComparison compare_systems_auto(const workload::AppProfile& profile,
-                                    const FullSystemSim& sim,
-                                    const PlatformParams& base_params) {
-  AutoComparison out;
-
-  // Explore all three systems in the analytical band.
-  PlatformParams explore = base_params;
-  explore.fidelity = Fidelity::kAuto;
-  out.explored = compare_systems(profile, sim, explore);
-
-  const SystemReport* reports[] = {&out.explored.nvfi_mesh,
-                                   &out.explored.vfi_mesh,
-                                   &out.explored.vfi_winoc};
-  const SystemKind kinds[] = {SystemKind::kNvfiMesh, SystemKind::kVfiMesh,
-                              SystemKind::kVfiWinoc};
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < 3; ++i) {
-    if (reports[i]->edp_js() < reports[best]->edp_js()) best = i;
-  }
-  out.frontier = kinds[best];
-
-  // Confirm cycle-accurately.  The frontier EDP is only meaningful relative
-  // to a baseline of the same band, so the NVFI reference is re-run
-  // cycle-accurately too (one promotion each).
-  PlatformParams confirm = base_params;
-  confirm.fidelity = Fidelity::kCycleAccurate;
-  confirm.kind = SystemKind::kNvfiMesh;
-  out.confirmed_baseline = sim.run(profile, confirm);
-  if (out.frontier == SystemKind::kNvfiMesh) {
-    out.confirmed = out.confirmed_baseline;
-    return out;
-  }
-  const PhaseBaselines baseline = phase_baselines(out.confirmed_baseline);
-  confirm.kind = out.frontier;
-  out.confirmed = sim.run(profile, confirm, baseline);
   return out;
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 // Parallel experiment runners for the comparison sweeps that back every
-// figure and table — and, since the multi-fidelity ladder (DESIGN.md §12),
-// the analytical-first design-space drivers.
+// figure and table, their store-backed incremental twin (DESIGN.md §16),
+// and the analytical-first design-space driver (DESIGN.md §12).
 //
 // FullSystemSim::run is const and thread-safe: each run owns its network
 // and task-simulator state, and shares only the sim's compute-once memo
@@ -70,13 +70,8 @@ std::string comparison_point_key(const workload::AppProfile& profile,
 /// Configuration of an incremental (store-backed) comparison sweep.
 struct IncrementalOptions {
   /// Required.  Point results are looked up / written under
-  /// KeyDomain::kSweepPoint; the manifest under kSweepManifest.
+  /// KeyDomain::kSweepPoint.
   store::EvalStore* store = nullptr;
-  /// Manifest name for this sweep (e.g. "fig8").  The driver records the
-  /// point-key hash list (input order) under this name after every run, so
-  /// tools and later runs can see which points changed.  Empty skips the
-  /// manifest.
-  std::string sweep_name;
   /// Shard ownership for multi-process population: this process evaluates
   /// only points with index % shard_count == shard_index.  Results other
   /// shards have already committed are still merged in; points owned by an
@@ -92,47 +87,24 @@ struct IncrementalOptions {
 struct IncrementalSweepResult {
   std::vector<SystemComparison> comparisons;  ///< input order
   std::vector<std::uint8_t> valid;   ///< comparisons[i] is populated
-  std::vector<std::uint8_t> reused;  ///< loaded from the store, not computed
   std::size_t reused_points = 0;     ///< served from the store
   std::size_t evaluated_points = 0;  ///< computed (and written back)
   std::size_t skipped_points = 0;    ///< owned by another shard, not stored
-  /// Manifest bookkeeping: whether a prior manifest existed under
-  /// sweep_name, and how many of this run's point keys it already listed
-  /// (points whose inputs did not change since that run).
-  bool had_prior_manifest = false;
-  std::size_t manifest_prior_matches = 0;
 };
 
 /// Incremental twin of sweep_comparisons: each point is keyed by
 /// comparison_point_key and resolved store-first.  Only points whose inputs
 /// changed (key not in the store) are re-evaluated — in parallel, then
-/// written back and flushed — and prior results are merged in input order.
-/// With shard_count > 1 the point list is partitioned round-robin so N
-/// worker processes can populate one store concurrently (segment commits
-/// are process-safe; see store/eval_store.hpp).
+/// written back and flushed — and prior results are merged in input order,
+/// so reused_points counts the points an earlier run already had.  A sweep
+/// with nothing to evaluate writes nothing.  With shard_count > 1 the point
+/// list is partitioned round-robin so N worker processes can populate one
+/// store concurrently (segment commits are process-safe; see
+/// store/eval_store.hpp).
 IncrementalSweepResult incremental_sweep_comparisons(
     const std::vector<workload::AppProfile>& profiles,
     const FullSystemSim& sim, const PlatformParams& base_params,
     const IncrementalOptions& options, std::size_t threads = 0);
-
-/// The Auto-mode three-system comparison: explore every system in the
-/// analytical band, pick the EDP frontier, then confirm it (and the NVFI
-/// baseline it is judged against) cycle-accurately.
-struct AutoComparison {
-  /// Analytical-band exploration of all three systems (fidelity kAuto).
-  SystemComparison explored;
-  /// argmin of the explored EDPs — the system the Auto policy promotes.
-  SystemKind frontier = SystemKind::kNvfiMesh;
-  /// Cycle-accurate re-run of the frontier system (== confirmed_baseline
-  /// when the frontier is the NVFI mesh itself).
-  SystemReport confirmed;
-  /// Cycle-accurate NVFI-mesh run that supplied the confirmation baselines.
-  SystemReport confirmed_baseline;
-};
-
-AutoComparison compare_systems_auto(const workload::AppProfile& profile,
-                                    const FullSystemSim& sim,
-                                    const PlatformParams& base_params = {});
 
 /// One candidate platform configuration in a design-space sweep.  The
 /// params carry everything, including the fidelity band the point is

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <vector>
 
 #include "sysmodel/net_eval.hpp"
 #include "sysmodel/sweep.hpp"
@@ -146,9 +147,11 @@ TEST(FidelityXval, LatencyAndEnergyWithinToleranceBands) {
 
 TEST(FidelityXval, AutoReproducesCycleAccurateEdpFrontier) {
   // Ground truth and Auto run on separate sims: on one sim the Auto
-  // confirmations would be memo hits of the ground-truth runs.
+  // confirmation would be a memo hit of the ground-truth run.
   const FullSystemSim sim;
   const FullSystemSim auto_sim;
+  const SystemKind kinds[] = {SystemKind::kNvfiMesh, SystemKind::kVfiMesh,
+                              SystemKind::kVfiWinoc};
   for (workload::App app : workload::kAllApps) {
     const auto profile = workload::make_profile(app);
     SCOPED_TRACE(profile.name());
@@ -158,23 +161,30 @@ TEST(FidelityXval, AutoReproducesCycleAccurateEdpFrontier) {
     const SystemComparison cycle = compare_systems(profile, sim, params);
     const SystemReport* reports[] = {&cycle.nvfi_mesh, &cycle.vfi_mesh,
                                      &cycle.vfi_winoc};
-    const SystemKind kinds[] = {SystemKind::kNvfiMesh, SystemKind::kVfiMesh,
-                                SystemKind::kVfiWinoc};
     std::size_t best = 0;
     for (std::size_t i = 1; i < 3; ++i) {
       if (reports[i]->edp_js() < reports[best]->edp_js()) best = i;
     }
 
-    const AutoComparison autoc =
-        compare_systems_auto(profile, auto_sim, params);
+    // Auto: the three systems explored in the analytical band, the EDP
+    // frontier promoted to a cycle-accurate confirmation.
+    params.fidelity = Fidelity::kAuto;
+    std::vector<SweepPoint> points;
+    for (SystemKind kind : kinds) {
+      params.kind = kind;
+      points.push_back({system_name(kind), params});
+    }
+    const DesignSpaceResult autoc =
+        sweep_design_space(profile, auto_sim, points, /*promote_top=*/1);
     std::printf("frontier %-8s cycle=%s auto=%s\n", profile.name().c_str(),
                 system_name(kinds[best]).c_str(),
-                system_name(autoc.frontier).c_str());
-    EXPECT_EQ(autoc.frontier, kinds[best]);
-    // The confirmation is a cycle-accurate run of the frontier system, so
-    // it must agree exactly with the ground-truth report.
-    EXPECT_EQ(autoc.confirmed.edp_js(), reports[best]->edp_js());
-    EXPECT_EQ(autoc.confirmed_baseline.edp_js(), cycle.nvfi_mesh.edp_js());
+                system_name(kinds[autoc.argmin_explored]).c_str());
+    EXPECT_EQ(autoc.argmin_explored, best);
+    ASSERT_EQ(autoc.argmin_confirmed, best);
+    // The confirmation is a cycle-accurate run of the frontier system
+    // against a cycle-accurate NVFI baseline, so it must agree exactly with
+    // the ground-truth report.
+    EXPECT_EQ(autoc.points[best].confirmed.edp_js(), reports[best]->edp_js());
   }
 }
 

@@ -217,6 +217,7 @@ TEST(EvalStore, PutGetFlushReopen) {
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.corrupt_records, 0u);
   EXPECT_EQ(st.keys(), 2u);
+  EXPECT_EQ(st.segments(), 1u);  // one flush, one segment
 }
 
 TEST(EvalStore, DomainKeysNeverCollide) {
@@ -237,7 +238,7 @@ TEST(EvalStore, DomainKeysNeverCollide) {
 TEST(EvalStore, TruncatedTailKeepsCommittedPrefix) {
   TempDir tmp{"truncate"};
   {
-    EvalStore st{tmp.path, /*shards=*/1};  // one segment, ordered records
+    EvalStore st{tmp.path};  // one segment, records in insertion order
     st.put("first", "AAAA");
     st.put("second", "BBBB");
     st.flush();
@@ -261,7 +262,7 @@ TEST(EvalStore, TruncatedTailKeepsCommittedPrefix) {
 TEST(EvalStore, BitFlipIsAMissNeverWrongData) {
   TempDir tmp{"bitflip"};
   {
-    EvalStore st{tmp.path, 1};
+    EvalStore st{tmp.path};
     st.put("key", std::string(256, 'Z'));
     st.flush();
   }
@@ -303,59 +304,6 @@ TEST(EvalStore, ForeignFormatVersionRecordIsSkipped) {
   EXPECT_FALSE(st.get(key, v));
   EXPECT_EQ(st.stats().stale_records, 1u);
   EXPECT_EQ(st.stats().records_scanned, 0u);
-}
-
-TEST(EvalStore, MetaRecordsOverwriteLatestWins) {
-  TempDir tmp{"meta"};
-  EvalStore st{tmp.path};
-  std::string v;
-  EXPECT_FALSE(st.get_meta("manifest", v));
-  ASSERT_TRUE(st.put_meta("manifest", "generation 1"));
-  ASSERT_TRUE(st.get_meta("manifest", v));
-  EXPECT_EQ(v, "generation 1");
-  ASSERT_TRUE(st.put_meta("manifest", "generation 2"));  // unlike put():
-  ASSERT_TRUE(st.get_meta("manifest", v));               // replaces
-  EXPECT_EQ(v, "generation 2");
-
-  // Corrupt the meta file: must read as absent, never as wrong bytes.
-  for (const auto& e : fs::directory_iterator{store_dir(tmp.path)}) {
-    const std::string name = e.path().filename().string();
-    if (name.rfind("meta-", 0) == 0) {
-      std::fstream f{e.path().string(),
-                     std::ios::in | std::ios::out | std::ios::binary};
-      f.seekp(-1, std::ios::end);
-      f.put('?');
-    }
-  }
-  EXPECT_FALSE(st.get_meta("manifest", v));
-}
-
-/// Overwrites one byte of every sweep-manifest (`meta-*.mf`) file in `dir`.
-void corrupt_meta_files(const std::string& dir, std::streamoff at, char byte) {
-  for (const auto& e : fs::directory_iterator{dir}) {
-    const std::string name = e.path().filename().string();
-    if (name.rfind("meta-", 0) == 0) {
-      std::fstream f{e.path().string(),
-                     std::ios::in | std::ios::out | std::ios::binary};
-      f.seekp(at);
-      f.put(byte);
-    }
-  }
-}
-
-// Byte 23 of a record is the high byte of the header's val_len on a
-// little-endian host ([magic u32][format u32][key_len u64][val_len u64]).
-constexpr std::streamoff kValLenHighByte = 23;
-
-TEST(EvalStore, CorruptMetaLengthIsAMissNotAnAllocation) {
-  TempDir tmp{"meta_len"};
-  EvalStore st{tmp.path};
-  ASSERT_TRUE(st.put_meta("manifest", "generation 1"));
-  corrupt_meta_files(store_dir(tmp.path), kValLenHighByte, 0x40);
-  std::string v;
-  bool found = true;
-  EXPECT_NO_THROW(found = st.get_meta("manifest", v));
-  EXPECT_FALSE(found);
 }
 
 }  // namespace
@@ -860,7 +808,7 @@ TEST(TieredNetEval, CorruptStoreFallsBackToComputeNeverWrongData) {
 
   TempDir tmp{"tier_corrupt"};
   {
-    EvalStore st{tmp.path, 1};
+    EvalStore st{tmp.path};
     NetworkEvaluator writer;
     writer.attach_store(&st);
     (void)writer.evaluate(built, built.node_traffic, profile.packet_flits,
@@ -1050,11 +998,9 @@ TEST(IncrementalSweep, WarmRunReusesEverythingBitIdentically) {
     EvalStore st{tmp.path};
     IncrementalOptions opts;
     opts.store = &st;
-    opts.sweep_name = "test-sweep";
     cold = incremental_sweep_comparisons(profiles, sim, params, opts);
     EXPECT_EQ(cold.evaluated_points, profiles.size());
     EXPECT_EQ(cold.reused_points, 0u);
-    EXPECT_FALSE(cold.had_prior_manifest);
   }
   // The cold run matches the classic (non-incremental) sweep bit-for-bit,
   // computed on its own sim.
@@ -1066,17 +1012,14 @@ TEST(IncrementalSweep, WarmRunReusesEverythingBitIdentically) {
               store::encode_system_comparison(reference[i]));
   }
 
-  // Warm run in a fresh process: everything reused, nothing evaluated, and
-  // the prior manifest accounts for every point.
+  // Warm run in a fresh process: everything reused, nothing evaluated.
   EvalStore st{tmp.path};
   IncrementalOptions opts;
   opts.store = &st;
-  opts.sweep_name = "test-sweep";
   const auto warm = incremental_sweep_comparisons(profiles, sim, params, opts);
   EXPECT_EQ(warm.reused_points, profiles.size());
   EXPECT_EQ(warm.evaluated_points, 0u);
-  EXPECT_TRUE(warm.had_prior_manifest);
-  EXPECT_EQ(warm.manifest_prior_matches, profiles.size());
+  EXPECT_EQ(st.stats().bytes_written, 0u);  // a warm replay is read-only
   for (std::size_t i = 0; i < reference.size(); ++i) {
     ASSERT_TRUE(warm.valid[i]);
     EXPECT_EQ(store::encode_system_comparison(warm.comparisons[i]),
@@ -1091,39 +1034,6 @@ TEST(IncrementalSweep, WarmRunReusesEverythingBitIdentically) {
       incremental_sweep_comparisons(profiles, sim, changed, opts);
   EXPECT_EQ(moved.evaluated_points, profiles.size());
   EXPECT_EQ(moved.reused_points, 0u);
-  EXPECT_TRUE(moved.had_prior_manifest);
-  EXPECT_EQ(moved.manifest_prior_matches, 0u);
-}
-
-TEST(IncrementalSweep, CorruptManifestIsRecomputedNotFatal) {
-  const std::vector<workload::AppProfile> profiles = {
-      workload::make_profile(workload::App::kHist)};
-  const FullSystemSim sim;
-  const PlatformParams params = small_params(SystemKind::kVfiMesh);
-  TempDir tmp{"sweep_corrupt_manifest"};
-  IncrementalOptions opts;
-  opts.sweep_name = "corrupt";
-  {
-    EvalStore st{tmp.path};
-    opts.store = &st;
-    (void)incremental_sweep_comparisons(profiles, sim, params, opts);
-  }
-  store::corrupt_meta_files(store::store_dir(tmp.path),
-                            store::kValLenHighByte, 0x40);
-
-  EvalStore st{tmp.path};
-  opts.store = &st;
-  IncrementalSweepResult r;
-  ASSERT_NO_THROW(r = incremental_sweep_comparisons(profiles, sim, params,
-                                                    opts));
-  EXPECT_FALSE(r.had_prior_manifest);  // the corrupt manifest is ignored
-  EXPECT_EQ(r.reused_points, 1u);      // the point records are intact
-  EXPECT_TRUE(r.valid[0]);
-  // The run rewrote the manifest, so the next run sees it again.
-  const auto again = incremental_sweep_comparisons(profiles, sim, params,
-                                                   opts);
-  EXPECT_TRUE(again.had_prior_manifest);
-  EXPECT_EQ(again.manifest_prior_matches, 1u);
 }
 
 TEST(IncrementalSweep, ShardsPartitionThenMergeToAFullSweep) {

@@ -15,6 +15,8 @@ tentpole contract:
     the store really was populated by this job, not a stale artifact.
   * warm pass is disk-served — store hits > 0 and incremental.reused equals
     the cold pass's point count; evaluated_points == 0.
+  * warm pass is read-only — store.bytes_written == 0: with every point
+    stored there is nothing to commit, so any write is waste.
   * ZERO simulations on the warm pass — fig8.net_eval.misses == 0 (misses
     count simulations actually run; disk hits and sweep-point reuse do not
     increment it) and net_eval.disk_misses == 0.
@@ -101,6 +103,11 @@ def main():
         )
     if warm["fig8.store.hits"] <= 0:
         fail("warm pass recorded no store hits")
+    if warm["fig8.store.bytes_written"] != 0:
+        fail(
+            f"warm pass wrote {warm['fig8.store.bytes_written']} store bytes "
+            "(expected 0: a replay commits nothing)"
+        )
 
     # The hard gate: zero simulations ran on the warm pass.
     for key in ("fig8.net_eval.misses", "fig8.net_eval.disk_misses"):
