@@ -12,9 +12,9 @@
 // wrong data.
 //
 // On-disk layout (under `<root>/v<kStoreFormatVersion>-c<kCodecVersion>/`):
-//   seg-<pid>-<seq>.seg   committed, immutable segment files (earlier
-//                         builds named them seg-s<shard>-<pid>-<seq>.seg;
-//                         every seg-*.seg name is read)
+//   seg-<pid>-<seq>.seg   committed, immutable segment files (every
+//                         seg-*.seg name is read, so key-hash-sharded
+//                         seg-s<shard>-<pid>-<seq>.seg files load too)
 //   tmp-<pid>-<seq>.part  an in-flight flush (pre-rename)
 //   LOCK                  advisory flock taken around commits
 //
