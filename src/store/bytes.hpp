@@ -10,10 +10,13 @@
 // host-local cache, not an interchange format; a foreign-endian store would
 // fail its per-record checksum and be recomputed, never misread).
 //
-// crc32() guards each on-disk record against truncation and bit rot;
-// fnv1a64() is the index hash over full content-addressed keys (collisions
-// are resolved by comparing the stored key bytes, so a hash collision can
-// never alias two different computations).
+// xxh64() is the index hash over full content-addressed keys: a read
+// compares the stored key bytes with the requested ones, so a hash
+// collision can never alias two different computations, and a stored key
+// whose hash disagrees with its header is counted as damaged.  crc32()
+// guards each on-disk record's value against truncation and bit rot; the
+// key needs no checksum of its own, because that full compare already
+// rejects any key that is not the requested one.
 
 #include <algorithm>
 #include <array>
@@ -247,14 +250,15 @@ class ByteReader {
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib one) over a byte span,
 /// continuing from `crc`, the CRC of the bytes before it (0 for none):
-/// crc32(b, crc32(a)) == crc32(a + b), so a record's key and value are
-/// checked in place, without joining them.
+/// crc32(b, crc32(a)) == crc32(a + b).
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
 inline std::uint32_t crc32(std::string_view s, std::uint32_t crc = 0) {
   return crc32(s.data(), s.size(), crc);
 }
 
-/// FNV-1a 64-bit content hash — the store's index hash over full keys.
-std::uint64_t fnv1a64(std::string_view s);
+/// XXH64 with seed 0 (the public xxHash 64-bit algorithm) — the store's
+/// index hash over full keys.  Words are read little-endian, so the result
+/// does not depend on host byte order.
+std::uint64_t xxh64(std::string_view s);
 
 }  // namespace vfimr::store

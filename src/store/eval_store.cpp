@@ -31,8 +31,8 @@ struct RecordHeader {
   std::uint32_t format = kStoreFormatVersion;
   std::uint64_t key_len = 0;
   std::uint64_t val_len = 0;
-  std::uint64_t key_hash = 0;
-  std::uint32_t crc = 0;  ///< crc32 over key bytes then value bytes
+  std::uint64_t key_hash = 0;  ///< xxh64 over the key bytes
+  std::uint32_t crc = 0;       ///< crc32 over the value bytes
 };
 
 // Serialized header size: fields written one by one (never the struct, so
@@ -57,18 +57,13 @@ bool payload_fits(const RecordHeader& h, std::uint64_t avail) {
   return h.key_len <= avail && h.val_len <= avail - h.key_len;
 }
 
-/// crc32 over key bytes then value bytes, streamed without joining them.
-std::uint32_t record_crc(std::string_view key, std::string_view value) {
-  return crc32(value, crc32(key));
-}
-
 /// The serialized header of the record that holds `key` and `value`.
 std::string record_header(std::string_view key, std::string_view value) {
   RecordHeader h;
   h.key_len = key.size();
   h.val_len = value.size();
-  h.key_hash = fnv1a64(key);
-  h.crc = record_crc(key, value);
+  h.key_hash = xxh64(key);
+  h.crc = crc32(value);
   ByteWriter w;
   w(h);
   return w.take();
@@ -111,7 +106,8 @@ class ScopedDirLock {
 /// mmap threshold, keeping later large allocations resident on the heap.
 bool write_segment_synced(
     const std::string& path,
-    const std::vector<std::pair<std::string, std::string>>& batch) {
+    const std::vector<const std::pair<const std::string, std::string>*>&
+        batch) {
   struct Closer {
     void operator()(std::FILE* f) const { std::fclose(f); }
   };
@@ -121,7 +117,8 @@ bool write_segment_synced(
     return std::fwrite(s.data(), 1, s.size(), f.get()) == s.size();
   };
   bool ok = true;
-  for (const auto& [key, value] : batch) {
+  for (const auto* record : batch) {
+    const auto& [key, value] = *record;
     ok = ok && put(record_header(key, value)) && put(key) && put(value);
   }
   ok = std::fflush(f.get()) == 0 && ok;
@@ -257,32 +254,49 @@ bool EvalStore::read_record_locked(const Loc& loc, std::string_view key,
     return false;
   }
   stats_.bytes_read += kHeaderBytes + h.key_len + h.val_len;
-  if (record_crc(stored_key, stored_val) != h.crc) {
+  if (stored_key != key) {
+    // An index-hash collision, unless the stored key no longer hashes to
+    // its header: then its bytes were damaged on disk.
+    if (xxh64(stored_key) != h.key_hash) ++stats_.corrupt_records;
+    return false;
+  }
+  if (crc32(stored_val) != h.crc) {
     // Bit rot or a torn write: never serve it — the caller recomputes.
     ++stats_.corrupt_records;
     return false;
   }
-  if (stored_key != key) return false;  // index-hash collision
   value = std::move(stored_val);
   return true;
 }
 
+bool EvalStore::read_indexed_locked(std::string_view key,
+                                    std::string& value) {
+  const auto it = index_.find(xxh64(key));
+  if (it == index_.end()) return false;
+  for (const Loc& loc : it->second) {
+    if (read_record_locked(loc, key, value)) return true;
+  }
+  return false;
+}
+
+std::size_t EvalStore::KeyHash::operator()(std::string_view key) const {
+  return static_cast<std::size_t>(xxh64(key));
+}
+
 bool EvalStore::get(std::string_view key, std::string& value) {
   std::lock_guard<std::mutex> lock{mutex_};
-  const auto fresh = fresh_.find(std::string{key});
-  if (fresh != fresh_.end()) {
-    value = fresh->second;
+  // A replay that puts nothing skips hashing the key for an empty map.
+  if (!fresh_.empty()) {
+    const auto fresh = fresh_.find(key);
+    if (fresh != fresh_.end()) {
+      value = fresh->second;
+      ++stats_.hits;
+      return true;
+    }
+  }
+  if (read_indexed_locked(key, value)) {
     ++stats_.hits;
     return true;
-  }
-  const auto it = index_.find(fnv1a64(key));
-  if (it != index_.end()) {
-    for (const Loc& loc : it->second) {
-      if (read_record_locked(loc, key, value)) {
-        ++stats_.hits;
-        return true;
-      }
-    }
   }
   ++stats_.misses;
   return false;
@@ -290,27 +304,23 @@ bool EvalStore::get(std::string_view key, std::string& value) {
 
 void EvalStore::put(std::string_view key, std::string value) {
   std::lock_guard<std::mutex> lock{mutex_};
-  std::string k{key};
-  if (fresh_.count(k) > 0) return;
+  if (fresh_.find(key) != fresh_.end()) return;
   // Already on disk?  Content addressing makes a rewrite pointless.
-  const auto it = index_.find(fnv1a64(k));
-  if (it != index_.end()) {
-    std::string existing;
-    for (const Loc& loc : it->second) {
-      if (read_record_locked(loc, k, existing)) return;
-    }
-  }
-  pending_.emplace_back(k, value);
-  fresh_.emplace(std::move(k), std::move(value));
+  std::string existing;
+  if (read_indexed_locked(key, existing)) return;
+  const auto node = fresh_.emplace(std::string{key}, std::move(value)).first;
+  pending_.push_back(&*node);
 }
 
 void EvalStore::flush() {
-  std::vector<std::pair<std::string, std::string>> batch;
+  std::vector<const Record*> batch;
   {
     std::lock_guard<std::mutex> lock{mutex_};
     batch.swap(pending_);
   }
   if (batch.empty()) return;
+  // The batch is read below without the lock: fresh_ nodes never move and
+  // are never changed or erased, whatever other threads put meanwhile.
 
   std::string base = std::to_string(process_tag());
   base += '-';
@@ -332,8 +342,8 @@ void EvalStore::flush() {
   }
 
   std::uint64_t written = 0;
-  for (const auto& [key, value] : batch) {
-    written += kHeaderBytes + key.size() + value.size();
+  for (const Record* record : batch) {
+    written += kHeaderBytes + record->first.size() + record->second.size();
   }
   std::lock_guard<std::mutex> lock{mutex_};
   stats_.bytes_written += written;

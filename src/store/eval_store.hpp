@@ -19,8 +19,8 @@
 //   LOCK                  advisory flock taken around commits
 //
 // Each segment is a run of self-delimiting records:
-//   [magic u32][format u32][key_len u64][val_len u64][key_hash u64]
-//   [crc32(key+value) u32][key bytes][value bytes]
+//   [magic u32][format u32][key_len u64][val_len u64][xxh64(key) u64]
+//   [crc32(value) u32][key bytes][value bytes]
 //
 // Write path: put() queues records in memory (immediately visible to this
 // process's get()); flush() streams the batch, record by record, into one
@@ -30,12 +30,14 @@
 // crash leaves only an ignorable tmp file.
 //
 // Read path: opening scans every committed segment's record headers into an
-// in-memory index (key_hash -> file locations).  A truncated tail or a
+// in-memory index (xxh64(key) -> file locations).  A truncated tail or a
 // corrupt header ends that segment's scan (the committed prefix stays
 // usable); a record whose format version differs is skipped and counted.
-// get() reads the candidate record back, re-verifies the CRC and compares
-// the FULL key bytes — a failed checksum or a hash collision is a miss,
-// never a wrong answer.
+// get() reads the candidate record back, compares the FULL key bytes and
+// re-verifies the value's CRC — a hash collision or a failed checksum is a
+// miss, never a wrong answer.  The key needs no checksum: a damaged key
+// fails the compare, and since its bytes then no longer hash to the header's
+// xxh64, the read counts it as corrupt rather than as a collision.
 //
 // Thread safety: all public methods are safe to call concurrently; the
 // in-memory side is guarded by one mutex (disk reads happen under it too —
@@ -44,6 +46,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -53,11 +56,12 @@
 
 namespace vfimr::store {
 
-/// Bump when the record framing changes.  Stores of a different version
-/// live in a different `v<N>-...` subdirectory (and any stray record of a
-/// foreign version inside the directory is skipped at scan), so a stale
-/// store is ignored — recomputed, never trusted.
-inline constexpr std::uint32_t kStoreFormatVersion = 1;
+/// Bump when the record framing changes (v2: the index hash is XXH64 and
+/// the CRC covers the value only).  Stores of a different version live in a
+/// different `v<N>-...` subdirectory (and any stray record of a foreign
+/// version inside the directory is skipped at scan), so a stale store is
+/// ignored — recomputed, never trusted.
+inline constexpr std::uint32_t kStoreFormatVersion = 2;
 
 /// Version of the value encodings (store/codec.hpp; bump rules there).  It
 /// names the directory too, `v<format>-c<codec>`: put() leaves a key that is
@@ -72,7 +76,7 @@ struct StoreStats {
   std::uint64_t bytes_read = 0;     ///< record bytes read back from segments
   std::uint64_t bytes_written = 0;  ///< record bytes committed by flush()
   std::uint64_t records_scanned = 0;   ///< records indexed across segments
-  std::uint64_t corrupt_records = 0;   ///< CRC / framing failures skipped
+  std::uint64_t corrupt_records = 0;   ///< CRC / framing / key damage skipped
   std::uint64_t stale_records = 0;     ///< foreign-version records skipped
 
   double hit_rate() const {
@@ -126,7 +130,18 @@ class EvalStore {
     std::uint64_t val_len = 0;
   };
 
+  /// xxh64 over a key, transparent so that fresh_ is probed by string_view
+  /// without copying the key.  Not noexcept: libstdc++ then keeps each
+  /// node's hash, so a rehash never hashes a key again.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const;
+  };
+  using Record = std::pair<const std::string, std::string>;
+
   void scan_segment_locked(const std::string& name);
+  /// Looks `key` up in the segments: true + its value on a verified hit.
+  bool read_indexed_locked(std::string_view key, std::string& value);
   bool read_record_locked(const Loc& loc, std::string_view key,
                           std::string& value);
 
@@ -136,8 +151,12 @@ class EvalStore {
   std::unordered_map<std::uint64_t, std::vector<Loc>> index_;
   /// Records this process put() but other processes may not see yet; kept
   /// for the process lifetime so get() never re-reads what we just wrote.
-  std::unordered_map<std::string, std::string> fresh_;
-  std::vector<std::pair<std::string, std::string>> pending_;
+  /// Its nodes never move and are never changed or erased.
+  std::unordered_map<std::string, std::string, KeyHash, std::equal_to<>>
+      fresh_;
+  /// The fresh_ records not yet flushed, in put() order.  flush() streams
+  /// them from their nodes, so each unflushed record is held once.
+  std::vector<const Record*> pending_;
   StoreStats stats_;
 };
 

@@ -14,7 +14,7 @@
 #include <ios>
 #include <string>
 
-#include "store/bytes.hpp"
+#include "harness/fnv1a.hpp"
 #include "store/codec.hpp"
 #include "sysmodel/sweep.hpp"
 #include "sysmodel/system_sim.hpp"
@@ -31,7 +31,7 @@ constexpr std::uint64_t kSystemReportHash = 0x7012268f13bc66b6ull;
 
 void expect_pinned(const std::string& bytes, std::uint64_t pinned,
                    const char* what) {
-  const std::uint64_t got = store::fnv1a64(bytes);
+  const std::uint64_t got = test::fnv1a64(bytes);
   EXPECT_EQ(got, pinned)
       << what << " now hashes to 0x" << std::hex << got
       << ": a description in store/schema.hpp changed, so bump "

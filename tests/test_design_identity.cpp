@@ -24,8 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "harness/fnv1a.hpp"
 #include "power/vf_table.hpp"
-#include "store/bytes.hpp"
 #include "sysmodel/platform.hpp"
 #include "vfi/vf_assign.hpp"
 #include "winoc/design.hpp"
@@ -51,7 +51,7 @@ class Digest {
     add(static_cast<std::uint64_t>(values.size()));
     for (const T& v : values) add(static_cast<std::uint64_t>(v));
   }
-  std::uint64_t value() const { return store::fnv1a64(bytes_); }
+  std::uint64_t value() const { return test::fnv1a64(bytes_); }
 
  private:
   std::string bytes_;

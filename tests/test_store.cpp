@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/require.hpp"
+#include "harness/fnv1a.hpp"
 #include "store/bytes.hpp"
 #include "store/codec.hpp"
 #include "store/eval_store.hpp"
@@ -148,12 +149,33 @@ std::uint32_t bitwise_crc32(std::string_view s) {
   return ~c;
 }
 
+/// Serialized record header bytes: magic, format, key_len, val_len,
+/// key_hash, crc.
+constexpr std::size_t kRecordHeaderBytes = 4 + 4 + 8 + 8 + 8 + 4;
+
+/// One record framed by hand, independently of the store's writer, with
+/// `format` in its header.  Format 1 framing (FNV-1a index hash, CRC over
+/// key then value) for format 1; format 2 framing (XXH64 index hash, CRC
+/// over the value alone) for any other format.  The CRC is the bit-serial
+/// oracle's.
+std::string framed_record(std::uint32_t format, const std::string& key,
+                          const std::string& value) {
+  const bool v1 = format == 1;
+  ByteWriter w;
+  w(std::uint32_t{0x56465354}, format,
+    static_cast<std::uint64_t>(key.size()),
+    static_cast<std::uint64_t>(value.size()),
+    v1 ? test::fnv1a64(key) : xxh64(key),
+    bitwise_crc32(v1 ? key + value : value));
+  return w.take() + key + value;
+}
+
 TEST(Bytes, Crc32AndFnvKnownValues) {
   // IEEE 802.3 CRC-32 check value.
   EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
-  // FNV-1a 64-bit offset basis.
-  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
-  EXPECT_NE(fnv1a64("a"), fnv1a64("b"));
+  // FNV-1a 64-bit offset basis (the pinned-digest tests' hash).
+  EXPECT_EQ(test::fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_NE(test::fnv1a64("a"), test::fnv1a64("b"));
 
   // Streaming: a buffer split at any offset, at any alignment, CRCs to the
   // one-shot value, and both agree with the bit-serial oracle.
@@ -173,23 +195,77 @@ TEST(Bytes, Crc32AndFnvKnownValues) {
   EXPECT_EQ(crc32(pseudo_random_bytes(std::size_t{1} << 20, 2015)),
             0x8FC1D661u);
 
-  // A segment framed by hand with the bit-serial CRC (as earlier builds
-  // framed theirs) still verifies and is served.
+  // A format-2 segment framed by hand, its CRC the bit-serial one over the
+  // value alone, verifies and is served.
   TempDir tmp{"old_crc"};
-  const std::string key = "framed by an earlier build";
+  const std::string key = "framed by hand";
   const std::string val = pseudo_random_bytes(1000, 3);
-  ByteWriter w;
-  w(std::uint32_t{0x56465354}, kStoreFormatVersion,
-    static_cast<std::uint64_t>(key.size()),
-    static_cast<std::uint64_t>(val.size()), fnv1a64(key),
-    bitwise_crc32(key + val));
+  ASSERT_EQ(kStoreFormatVersion, 2u);
   std::ofstream{store_dir(tmp.path) + "/seg-s0-999-0.seg", std::ios::binary}
-      << w.bytes() << key << val;
+      << framed_record(2, key, val);
   EvalStore st{tmp.path};
   std::string v;
   EXPECT_TRUE(st.get(key, v));
   EXPECT_EQ(v, val);
   EXPECT_EQ(st.stats().corrupt_records, 0u);
+}
+
+// XXH64 with seed 0, against values computed with the reference library
+// (libxxhash's XXH64): its check values, every length from 0 to 64 (each
+// tail path and the first full 32-byte stripes) and a 1 MiB buffer at
+// offsets of every alignment.
+TEST(Bytes, Xxh64MatchesTheReferenceImplementation) {
+  EXPECT_EQ(xxh64(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(xxh64("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(xxh64("123456789"), 0x8cb841db40e6ae83ull);
+
+  constexpr std::uint64_t kByLength[65] = {
+      0xef46db3751d8e999ull, 0x4b9e065d01804ab5ull, 0x0ba4514a83bb58d8ull,
+      0xe7e9599517566de7ull, 0x0c3f0eee7c719a89ull, 0x56fe5bcabaa4ad22ull,
+      0x7c9d57807d37d97bull, 0xb3aac3263edab7e2ull, 0xf3e94a53f466f860ull,
+      0x666408594afac8a3ull, 0xc64565a18eb88fc5ull, 0xa838c907ab29ad36ull,
+      0xbc00ca0352544159ull, 0xa88ac25707c7f545ull, 0x97152f603285efd5ull,
+      0x26fb80f3f6c0264bull, 0xddbcf3ff336ce5a5ull, 0x292d31f2f07f130bull,
+      0xb83ba0d3e8dab916ull, 0x813176b4d1413a6full, 0x430f90ea3755ccd6ull,
+      0x6a6c86b81fe8a669ull, 0xa8edfd47bbae7a74ull, 0x4bcc22aad0eb2c29ull,
+      0x9cf42b002b9adb4bull, 0xed855b8476fe6843ull, 0x0e629d24e433f38aull,
+      0x59363e425c30d1a9ull, 0x851001c225d8f6c7ull, 0xf898da28fa327da5ull,
+      0xee096bb2f2894631ull, 0x178014f7ebbe1f34ull, 0x171d5e8aa14f211bull,
+      0x4e79fef798496821ull, 0x7881bc4c188c7745ull, 0xecffce14aa6746b1ull,
+      0xa0c6b32056cc7f85ull, 0x5dfcf421881d28cbull, 0x587e5d01a333147dull,
+      0x44345c3728897ffaull, 0x9583a95c76591bd3ull, 0xc3e16a9c878c214eull,
+      0xed544e2db1020ee6ull, 0xe81d7d272fe7081full, 0x8b3a1d3075968fa8ull,
+      0xa1d7c0f4408b757dull, 0x39888c8156ea4edeull, 0xafbad29c464ec470ull,
+      0x82102a929a718819ull, 0x1c243b045f3cd93dull, 0xebd10dfbbd7d19e0ull,
+      0x29d9c872f1853abeull, 0x7bc89ce26119e351ull, 0x075647bb8b5287d0ull,
+      0xebc6087c9125c3b4ull, 0x72e88c41c1f96cfeull, 0x7e8fe64fb0448193ull,
+      0x60d4e29397bad928ull, 0xa1705a4881d69ff7ull, 0x4808e30d1a862e5full,
+      0xd008ceb8af72f398ull, 0x3525f24df3af059full, 0x0d13312dd20d0a60ull,
+      0x30b6aa90f7f48389ull, 0x85463394ad732ca0ull,
+  };
+  const std::string buf = pseudo_random_bytes(64, 24);
+  for (std::size_t n = 0; n <= 64; ++n) {
+    EXPECT_EQ(xxh64(std::string_view{buf}.substr(0, n)), kByLength[n])
+        << "length " << n;
+  }
+
+  const struct {
+    std::size_t offset;
+    std::uint64_t hash;
+  } kByOffset[] = {
+      {0, 0xbca3be79a27fe0b0ull},  {1, 0x6704bbade5101669ull},
+      {2, 0x67cc2ae24fbc0069ull},  {3, 0x1e19f2d96ffef01eull},
+      {4, 0xdba4bdda1029d4f1ull},  {5, 0xb3e0ba921ed02180ull},
+      {7, 0xb5d3c8e1be784243ull},  {8, 0x791f90e7a6c3dd87ull},
+      {13, 0x542833e79b2cfc2aull}, {31, 0xfd6f6ae6097db1abull},
+      {32, 0x2e2cfea0dcab4194ull}, {33, 0x55322b5a61907406ull},
+      {1000, 0xfbc8dad02d9abc58ull},
+  };
+  const std::string big = pseudo_random_bytes(std::size_t{1} << 20, 2015);
+  for (const auto& pin : kByOffset) {
+    EXPECT_EQ(xxh64(std::string_view{big}.substr(pin.offset)), pin.hash)
+        << "offset " << pin.offset;
+  }
 }
 
 TEST(EvalStore, PutGetFlushReopen) {
@@ -278,6 +354,33 @@ TEST(EvalStore, BitFlipIsAMissNeverWrongData) {
   EXPECT_GE(st.stats().corrupt_records, 1u);
 }
 
+// A stored key damaged on disk must never be served, and the read must
+// tell the damage from an index-hash collision: the damaged bytes no longer
+// hash to the header's xxh64, so the record counts as corrupt.
+TEST(EvalStore, KeyBitFlipIsAMissNeverWrongData) {
+  TempDir tmp{"keyflip"};
+  const std::string key = "a key of some length";
+  {
+    EvalStore st{tmp.path};
+    st.put(key, std::string(256, 'Z'));
+    st.flush();
+  }
+  const std::string seg = only_segment(store_dir(tmp.path));
+  std::string damaged = key;
+  damaged[7] ^= 0x10;
+  {
+    std::fstream f{seg, std::ios::in | std::ios::out | std::ios::binary};
+    f.seekp(static_cast<std::streamoff>(kRecordHeaderBytes + 7));
+    f.put(damaged[7]);
+  }
+  EvalStore st{tmp.path};
+  std::string v;
+  EXPECT_FALSE(st.get(key, v));  // the key compare catches it: a miss
+  EXPECT_EQ(st.stats().corrupt_records, 1u);
+  EXPECT_FALSE(st.get(damaged, v));  // nor is it served under its new bytes
+  EXPECT_EQ(st.stats().hits, 0u);
+}
+
 TEST(EvalStore, ForeignFormatVersionRecordIsSkipped) {
   TempDir tmp{"version"};
   const std::string key = "future key";
@@ -285,19 +388,8 @@ TEST(EvalStore, ForeignFormatVersionRecordIsSkipped) {
   // Hand-craft a record whose format field is from the future.  The store
   // must count it stale and treat the key as absent — stale data is
   // recomputed, never trusted.
-  ByteWriter w;
-  w.put(std::uint32_t{0x56465354});            // magic
-  w.put(kStoreFormatVersion + 1);              // foreign format
-  w.put(static_cast<std::uint64_t>(key.size()));
-  w.put(static_cast<std::uint64_t>(val.size()));
-  w.put(fnv1a64(key));
-  std::string joined = key + val;
-  w.put(crc32(joined));
-  std::string bytes{w.bytes()};
-  bytes += joined;
-  std::ofstream{store_dir(tmp.path) + "/seg-s0-999-0.seg",
-                std::ios::binary}
-      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  std::ofstream{store_dir(tmp.path) + "/seg-s0-999-0.seg", std::ios::binary}
+      << framed_record(kStoreFormatVersion + 1, key, val);
 
   EvalStore st{tmp.path};
   std::string v;
@@ -663,7 +755,7 @@ TEST(StoreCodec, SystemComparisonRoundTripIsBitExact) {
 /// FNV-1a of an encoding's payload: everything after the 8-byte
 /// [codec version][kind tag] preamble, so a version bump alone keeps it.
 std::uint64_t payload_digest(const std::string& bytes) {
-  return store::fnv1a64(std::string_view{bytes}.substr(8));
+  return test::fnv1a64(std::string_view{bytes}.substr(8));
 }
 
 // The byte layout of every encoding, pinned by digests recorded before the
@@ -838,10 +930,11 @@ TEST(TieredNetEval, CorruptStoreFallsBackToComputeNeverWrongData) {
 }
 
 /// Copies every record of the segments in `from` into `to`, re-stamped as
-/// a build of codec version `codec` wrote it: each value's leading version
-/// field replaced and the record re-framed with a valid CRC.
+/// a build of store format `format` and codec version `codec` wrote it:
+/// each value's leading version field replaced and the record re-framed as
+/// that format frames it, with a valid CRC.
 void restamp_segments(const std::string& from, const std::string& to,
-                      std::uint32_t codec) {
+                      std::uint32_t format, std::uint32_t codec) {
   namespace fs = std::filesystem;
   fs::create_directories(to);
   for (const auto& e : fs::directory_iterator{from}) {
@@ -852,20 +945,17 @@ void restamp_segments(const std::string& from, const std::string& to,
     std::string out;
     std::size_t pos = 0;
     while (pos < seg.size()) {
-      std::uint32_t magic = 0, format = 0, crc = 0;
+      std::uint32_t magic = 0, stored_format = 0, crc = 0;
       std::uint64_t key_len = 0, val_len = 0, key_hash = 0;
       store::ByteReader header{std::string_view{seg}.substr(pos)};
-      header(magic, format, key_len, val_len, key_hash, crc);
+      header(magic, stored_format, key_len, val_len, key_hash, crc);
       ASSERT_TRUE(header.ok());
       pos = seg.size() - header.remaining();
       const std::string key = seg.substr(pos, key_len);
       std::string value = seg.substr(pos + key_len, val_len);
       pos += key_len + val_len;
       std::memcpy(value.data(), &codec, sizeof codec);
-      store::ByteWriter w;
-      w(magic, format, key_len, val_len, key_hash,
-        store::crc32(key + value));
-      out += w.bytes() + key + value;
+      out += store::framed_record(format, key, value);
     }
     std::ofstream{to + "/" + name, std::ios::binary} << out;
   }
@@ -893,17 +983,22 @@ TEST(TieredNetEval, CodecBumpRecomputesOnceThenServesFromDisk) {
 
   // The same evaluation as the previous codec version stored it, in the
   // directories that version's builds read: `v<format>` before the codec
-  // named the directory, `v<format>-c<codec>` after.
+  // named the directory, `v<format>-c<codec>` after.  And as the previous
+  // store format (FNV-1a index, CRC over key and value) stored it under
+  // this codec, in `v1-c<codec>`.
   TempDir source{"bump_source"};
   (void)run(source.path);
   TempDir tmp{"bump"};
-  const std::uint32_t old_codec = store::kCodecVersion - 1;
-  const std::string format = std::to_string(store::kStoreFormatVersion);
-  for (const std::string& dir :
-       {tmp.path + "/v" + format,
-        tmp.path + "/v" + format + "-c" + std::to_string(old_codec)}) {
-    restamp_segments(store::store_dir(source.path), dir, old_codec);
-  }
+  const std::string from = store::store_dir(source.path);
+  const std::uint32_t format = store::kStoreFormatVersion;
+  const std::uint32_t codec = store::kCodecVersion;
+  const std::string v = tmp.path + "/v" + std::to_string(format);
+  restamp_segments(from, v, format, codec - 1);
+  restamp_segments(from, v + "-c" + std::to_string(codec - 1), format,
+                   codec - 1);
+  ASSERT_EQ(format, 2u);
+  restamp_segments(from, tmp.path + "/v1-c" + std::to_string(codec), 1,
+                   codec);
 
   const NetworkEvaluator::Stats first = run(tmp.path);
   EXPECT_EQ(first.misses, 1u);  // recomputed, not served the old record
