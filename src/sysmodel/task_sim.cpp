@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "common/require.hpp"
 #include "mapreduce/scheduler.hpp"
@@ -126,33 +127,48 @@ TaskSimResult simulate_phase(const std::vector<SimTask>& tasks,
   // ---- Initial distribution: block split (task j's data belongs to core
   // j*C/N).  Under kVfiAssignment a slow core keeps only its Eq. 3 share of
   // its own block; the leftover (still that block's data) is re-assigned
-  // round-robin to the f_max cores.
-  std::vector<std::deque<std::size_t>> queues(c);
-  {
-    std::vector<std::size_t> leftovers;
-    for (std::size_t i = 0; i < c; ++i) {
-      const std::size_t lo = i * n / c;
-      const std::size_t hi = (i + 1) * n / c;
-      std::size_t keep = hi - lo;
-      if (policy == StealingPolicy::kVfiAssignment && rel[i] < 1.0) {
-        // Rounded (not floored) share: the assignment reading of Eq. 3 aims
-        // for proportional load, and flooring at small N/C (e.g. 4 tasks per
-        // core) would under-assign slow cores by a whole task.
-        const auto share = static_cast<std::size_t>(std::llround(
-            static_cast<double>(n) / static_cast<double>(c) * rel[i]));
-        keep = std::min(keep, share);
-      }
-      for (std::size_t t = lo; t < lo + keep; ++t) queues[i].push_back(t);
-      for (std::size_t t = lo + keep; t < hi; ++t) leftovers.push_back(t);
+  // round-robin to the f_max cores, after their own blocks.  Core i's queue
+  // is the slice [head[i], tail[i]) of one flat array: its owner takes
+  // tasks from the front, a thief from the back.
+  std::vector<std::size_t> keep(c);
+  std::size_t surplus = 0;
+  for (std::size_t i = 0; i < c; ++i) {
+    const std::size_t block = (i + 1) * n / c - i * n / c;
+    keep[i] = block;
+    if (policy == StealingPolicy::kVfiAssignment && rel[i] < 1.0) {
+      // Rounded (not floored) share: the assignment reading of Eq. 3 aims
+      // for proportional load, and flooring at small N/C (e.g. 4 tasks per
+      // core) would under-assign slow cores by a whole task.
+      const auto share = static_cast<std::size_t>(std::llround(
+          static_cast<double>(n) / static_cast<double>(c) * rel[i]));
+      keep[i] = std::min(block, share);
     }
-    if (!leftovers.empty()) {
-      std::vector<std::size_t> fast;
-      for (std::size_t i = 0; i < c; ++i) {
-        if (rel[i] >= 1.0) fast.push_back(i);
+    surplus += block - keep[i];
+  }
+  std::vector<std::size_t> fast;
+  if (surplus > 0) {
+    for (std::size_t i = 0; i < c; ++i) {
+      if (rel[i] >= 1.0) fast.push_back(i);
+    }
+    VFIMR_REQUIRE_MSG(!fast.empty(), "no core at f_max");
+  }
+  std::vector<std::size_t> head(c);
+  std::vector<std::size_t> tail(c);
+  std::vector<std::size_t> queue(n);
+  {
+    std::vector<std::size_t> slice = keep;
+    for (std::size_t k = 0; k < surplus; ++k) ++slice[fast[k % fast.size()]];
+    for (std::size_t i = 0, at = 0; i < c; at += slice[i++]) {
+      head[i] = tail[i] = at;
+    }
+    for (std::size_t i = 0; i < c; ++i) {
+      for (std::size_t t = i * n / c; t < i * n / c + keep[i]; ++t) {
+        queue[tail[i]++] = t;
       }
-      VFIMR_REQUIRE_MSG(!fast.empty(), "no core at f_max");
-      for (std::size_t k = 0; k < leftovers.size(); ++k) {
-        queues[fast[k % fast.size()]].push_back(leftovers[k]);
+    }
+    for (std::size_t i = 0, k = 0; i < c; ++i) {
+      for (std::size_t t = i * n / c + keep[i]; t < (i + 1) * n / c; ++t) {
+        queue[tail[fast[k++ % fast.size()]]++] = t;
       }
     }
   }
@@ -182,44 +198,51 @@ TaskSimResult simulate_phase(const std::vector<SimTask>& tasks,
     }
   }
 
+  // The active cores, a min-heap on (free time, id): its top is the
+  // earliest-free core, ties to the lowest id.  A core leaves it when it is
+  // capped out, fails or finds nothing to do.
   std::vector<double> free_time(c, 0.0);
-  std::vector<bool> active(c, true);
+  using Slot = std::pair<double, std::size_t>;
+  constexpr std::greater<Slot> kLater;
+  std::vector<Slot> active;
   for (std::size_t i = 0; i < c; ++i) {
     // A cap of zero (small N/C at low rel_freq) means no tasks at all; the
     // post-increment cap check below only fires after the first task.
-    if (cap[i] == 0) active[i] = false;
+    if (cap[i] != 0) active.emplace_back(0.0, i);
   }
+  std::make_heap(active.begin(), active.end(), kLater);
   std::size_t remaining = n;
-  // Tasks abandoned by failing cores: re-executable by survivors, but not
-  // before the failure instant (causality).
+  // Tasks abandoned by failing cores, first in first out from `next_retry`:
+  // re-executable by survivors, but not before the failure instant
+  // (causality).
   struct Retry {
     std::size_t task;
     double ready;
   };
-  std::deque<Retry> retries;
+  std::vector<Retry> retries;
+  std::size_t next_retry = 0;
 
   while (remaining > 0) {
-    // Earliest-free active core (ties -> lowest id).
-    std::size_t who = c;
-    for (std::size_t i = 0; i < c; ++i) {
-      if (!active[i]) continue;
-      if (who == c || free_time[i] < free_time[who]) who = i;
-    }
-    if (who == c) {
+    if (active.empty()) {
       // Every core is capped out or failed while tasks remain (possible
       // only with a degenerate configuration); lift the caps and restart
       // the failed cores so work always finishes.
       for (std::size_t i = 0; i < c; ++i) {
-        active[i] = true;
         cap[i] = std::numeric_limits<std::size_t>::max();
         fail_time[i] = std::numeric_limits<double>::infinity();
+        active.emplace_back(free_time[i], i);
       }
+      std::make_heap(active.begin(), active.end(), kLater);
       continue;
     }
+    // Take the earliest-free core out; every path below that keeps it
+    // active puts it back with its new free time.
+    std::pop_heap(active.begin(), active.end(), kLater);
+    const std::size_t who = active.back().second;
+    active.pop_back();
     if (fail_time[who] <= free_time[who]) {
       // This core's failure instant has passed: it dies instead of picking.
       // Its queue stays in place — survivors steal from it as usual.
-      active[who] = false;
       if (!failed[who]) {
         failed[who] = true;
         ++result.cores_failed;
@@ -236,13 +259,12 @@ TaskSimResult simulate_phase(const std::vector<SimTask>& tasks,
     double ready = 0.0;
     bool stolen = false;
     bool reexec = false;
-    if (!queues[who].empty()) {
-      task = queues[who].front();
-      queues[who].pop_front();
-    } else if (!retries.empty()) {
-      task = retries.front().task;
-      ready = retries.front().ready;
-      retries.pop_front();
+    if (head[who] < tail[who]) {
+      task = queue[head[who]++];
+    } else if (next_retry < retries.size()) {
+      task = retries[next_retry].task;
+      ready = retries[next_retry].ready;
+      ++next_retry;
       ++result.tasks_reexecuted;
       reexec = true;
       if (tele.reexecs != nullptr) tele.reexecs->add();
@@ -250,17 +272,13 @@ TaskSimResult simulate_phase(const std::vector<SimTask>& tasks,
       // Steal from the victim with the most remaining tasks.
       std::size_t victim = c;
       for (std::size_t v = 0; v < c; ++v) {
-        if (v == who || queues[v].empty()) continue;
-        if (victim == c || queues[v].size() > queues[victim].size()) {
+        if (v == who || head[v] == tail[v]) continue;
+        if (victim == c || tail[v] - head[v] > tail[victim] - head[victim]) {
           victim = v;
         }
       }
-      if (victim == c) {
-        active[who] = false;  // nothing to do anywhere
-        continue;
-      }
-      task = queues[victim].back();
-      queues[victim].pop_back();
+      if (victim == c) continue;  // nothing to do anywhere: stays out
+      task = queue[--tail[victim]];
       ++result.steals;
       stolen = true;
       if (tele.steals != nullptr) tele.steals->add();
@@ -278,7 +296,6 @@ TaskSimResult simulate_phase(const std::vector<SimTask>& tasks,
       result.wasted_seconds += wasted;
       free_time[who] = fail_time[who];
       result.makespan_s = std::max(result.makespan_s, fail_time[who]);
-      active[who] = false;
       if (!failed[who]) {
         failed[who] = true;
         ++result.cores_failed;
@@ -304,7 +321,10 @@ TaskSimResult simulate_phase(const std::vector<SimTask>& tasks,
                              {"stolen", stolen ? 1.0 : 0.0},
                              {"reexec", reexec ? 1.0 : 0.0}});
     }
-    if (++result.tasks_executed[who] >= cap[who]) active[who] = false;
+    if (++result.tasks_executed[who] < cap[who]) {
+      active.emplace_back(free_time[who], who);
+      std::push_heap(active.begin(), active.end(), kLater);
+    }
   }
   return result;
 }
