@@ -1,11 +1,20 @@
 // Microbenchmarks (google-benchmark): VFI clustering solvers, min-hop thread
-// mapping and the threaded MapReduce runtime.  Engineering numbers, not
-// paper figures.
+// mapping, the threaded MapReduce runtime, the evaluation store's warm hits
+// and the task simulator.  Engineering numbers, not paper figures.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "mapreduce/apps/histogram.hpp"
 #include "mapreduce/apps/wordcount.hpp"
+#include "power/vf_table.hpp"
+#include "store/eval_store.hpp"
+#include "sysmodel/task_sim.hpp"
 #include "vfi/clustering.hpp"
 #include "winoc/thread_mapping.hpp"
 #include "workload/profile.hpp"
@@ -103,6 +112,96 @@ void BM_HistogramRuntime(benchmark::State& state) {
                           static_cast<std::int64_t>(cfg.pixel_count));
 }
 BENCHMARK(BM_HistogramRuntime)->Unit(benchmark::kMillisecond);
+
+/// Records the size of the ones a warm replay of the small Fig. 8 sweep and
+/// the fleet matrix hits, in that pass's mix: 54 NoC evaluations (36-37 KB
+/// keys, 217 B values), 18 platform layouts (33.5 KB keys, 3.2 KB values)
+/// and 6 sweep points (165 KB keys, 5.5 KB values).  Random bytes, so every
+/// key is distinct.
+std::vector<std::pair<std::string, std::string>> warm_replay_records() {
+  Rng rng{11};
+  const auto bytes = [&rng](std::size_t n) {
+    std::string s(n, '\0');
+    for (char& c : s) c = static_cast<char>(rng.next_u64() >> 56);
+    return s;
+  };
+  std::vector<std::pair<std::string, std::string>> records;
+  for (std::size_t i = 0; i < 54; ++i) {
+    records.emplace_back(bytes(36'000 + 20 * i), bytes(217));
+  }
+  for (std::size_t i = 0; i < 18; ++i) {
+    records.emplace_back(bytes(33'500), bytes(3'200));
+  }
+  for (std::size_t i = 0; i < 6; ++i) {
+    records.emplace_back(bytes(165'000), bytes(5'500));
+  }
+  return records;
+}
+
+void BM_EvalStoreWarmHit(benchmark::State& state) {
+  // One store open (the segment scan) plus a hit on each record, as each
+  // warm replay pass does.
+  const auto records = warm_replay_records();
+  const std::string root =
+      (std::filesystem::temp_directory_path() /
+       ("vfimr_bench_store_" +
+        std::to_string(
+            std::chrono::steady_clock::now().time_since_epoch().count())))
+          .string();
+  {
+    store::EvalStore st{root};
+    for (const auto& [key, value] : records) st.put(key, value);
+    st.flush();
+  }
+  std::string value;
+  for (auto _ : state) {
+    store::EvalStore st{root};
+    for (const auto& record : records) {
+      if (!st.get(record.first, value)) {
+        state.SkipWithError("store miss");
+        break;
+      }
+    }
+    benchmark::DoNotOptimize(value.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(records.size()));
+  std::filesystem::remove_all(root);
+}
+BENCHMARK(BM_EvalStoreWarmHit)->Unit(benchmark::kMicrosecond);
+
+void BM_SimulatePhase(benchmark::State& state) {
+  // One parallel phase as a VFI system run simulates it: HIST's 300 map
+  // tasks on 64 cores in four 16-core islands at four V/F ladder points
+  // under the Eq. 3 assignment, then the nominal run at f_max.
+  const auto& ladder = power::VfTable::standard();
+  const double fmax = ladder.max().freq_hz;
+  std::vector<sysmodel::SimCore> cores(64);
+  const std::vector<sysmodel::SimCore> nominal(64, {fmax, 1.0});
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    const double f = ladder[ladder.size() - 1 - i / 16].freq_hz;
+    cores[i] = {f, f / fmax};
+  }
+  workload::TaskSet spec;
+  spec.count = 300;
+  spec.cycles_mean = 0.158 * 0.65 * fmax;
+  spec.cycles_cv = 0.10;
+  spec.mem_seconds_mean = 0.158 * 0.35;
+  spec.mem_cv = 0.10;
+  Rng rng{5};
+  const auto tasks = sysmodel::materialize_tasks(spec, rng);
+  for (auto _ : state) {
+    const auto actual = sysmodel::simulate_phase(
+        tasks, cores, 1.2, sysmodel::StealingPolicy::kVfiAssignment);
+    const auto nominal_run = sysmodel::simulate_phase(
+        tasks, nominal, 1.0, sysmodel::StealingPolicy::kPhoenixDefault);
+    benchmark::DoNotOptimize(actual.makespan_s);
+    benchmark::DoNotOptimize(nominal_run.makespan_s);
+  }
+  state.SetItemsProcessed(state.iterations() * 2 *
+                          static_cast<std::int64_t>(tasks.size()));
+}
+BENCHMARK(BM_SimulatePhase)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
