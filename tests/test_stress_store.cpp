@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -180,6 +181,48 @@ TEST(StoreStress, ManyThreadsHammerOneStore) {
     }
   }
   EXPECT_EQ(reopened.stats().corrupt_records, 0u);
+}
+
+TEST(StoreStress, FlushStreamsWhileOtherThreadsPut) {
+  // flush() takes the pending batch under the lock and then streams it
+  // from the in-memory records outside the lock, while writer threads keep
+  // inserting into (and rehashing) the same map.  A flusher thread commits
+  // whatever is pending, again and again, until the writers are done.
+  // Every record must be committed exactly once and read back verbatim.
+  TempDir tmp{"flush_while_put"};
+  constexpr int kWriters = 4;
+  {
+    EvalStore st{tmp.path};
+    std::atomic<bool> writing{true};
+    std::thread flusher{[&st, &writing] {
+      while (writing.load()) st.flush();
+    }};
+    std::vector<std::thread> writers;
+    writers.reserve(kWriters);
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&st, t] {
+        for (int i = 0; i < kKeysPerWriter; ++i) {
+          st.put(key_of(t, i), value_of(t, i));
+        }
+      });
+    }
+    for (auto& w : writers) w.join();
+    writing = false;
+    flusher.join();
+    st.flush();
+    EXPECT_GT(st.stats().bytes_written, 0u);
+  }
+  EvalStore st{tmp.path};
+  std::string v;
+  for (int t = 0; t < kWriters; ++t) {
+    for (int i = 0; i < kKeysPerWriter; ++i) {
+      ASSERT_TRUE(st.get(key_of(t, i), v));
+      EXPECT_EQ(v, value_of(t, i));
+    }
+  }
+  EXPECT_EQ(st.stats().corrupt_records, 0u);
+  EXPECT_EQ(st.stats().records_scanned,
+            static_cast<std::uint64_t>(kWriters) * kKeysPerWriter);
 }
 
 }  // namespace
