@@ -31,10 +31,11 @@ CrcTables make_crc_tables() {
 
 }  // namespace
 
-std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc) {
+std::uint32_t crc32(std::string_view s) {
   static const CrcTables t = make_crc_tables();
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = ~crc;
+  const auto* p = reinterpret_cast<const unsigned char*>(s.data());
+  std::size_t n = s.size();
+  std::uint32_t c = 0xFFFFFFFFu;
   for (; n >= 8; n -= 8, p += 8) {
     // The low word is assembled byte by byte, so the result does not
     // depend on host byte order.

@@ -248,13 +248,8 @@ class ByteReader {
   bool ok_ = true;
 };
 
-/// CRC-32 (IEEE 802.3 polynomial, the zlib one) over a byte span,
-/// continuing from `crc`, the CRC of the bytes before it (0 for none):
-/// crc32(b, crc32(a)) == crc32(a + b).
-std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
-inline std::uint32_t crc32(std::string_view s, std::uint32_t crc = 0) {
-  return crc32(s.data(), s.size(), crc);
-}
+/// CRC-32 (IEEE 802.3 polynomial, the zlib one) over a byte span.
+std::uint32_t crc32(std::string_view s);
 
 /// XXH64 with seed 0 (the public xxHash 64-bit algorithm) — the store's
 /// index hash over full keys.  Words are read little-endian, so the result

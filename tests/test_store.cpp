@@ -177,16 +177,14 @@ TEST(Bytes, Crc32AndFnvKnownValues) {
   EXPECT_EQ(test::fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_NE(test::fnv1a64("a"), test::fnv1a64("b"));
 
-  // Streaming: a buffer split at any offset, at any alignment, CRCs to the
-  // one-shot value, and both agree with the bit-serial oracle.
+  // At every alignment and every length up to 67 bytes (each tail of the
+  // eight-byte steps), the CRC agrees with the bit-serial oracle.
   const std::string buf = pseudo_random_bytes(67, 7);
   for (std::size_t start = 0; start < 8; ++start) {
-    const std::string_view tail = std::string_view{buf}.substr(start);
-    const std::uint32_t whole = crc32(tail);
-    EXPECT_EQ(whole, bitwise_crc32(tail)) << "start " << start;
-    for (std::size_t cut = 0; cut <= tail.size(); ++cut) {
-      EXPECT_EQ(crc32(tail.substr(cut), crc32(tail.substr(0, cut))), whole)
-          << "start " << start << ", cut " << cut;
+    for (std::size_t n = 0; start + n <= buf.size(); ++n) {
+      const std::string_view span = std::string_view{buf}.substr(start, n);
+      EXPECT_EQ(crc32(span), bitwise_crc32(span))
+          << "start " << start << ", length " << n;
     }
   }
 
