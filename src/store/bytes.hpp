@@ -8,7 +8,7 @@
 // bytes of trivially-copyable scalars field by field — never whole structs,
 // whose padding bytes are unspecified — in host byte order (the store is a
 // host-local cache, not an interchange format; a foreign-endian store would
-// fail its per-record checksum and be recomputed, never misread).
+// fail its per-record checks and be recomputed, never misread).
 //
 // xxh64() is the index hash over full content-addressed keys: a read
 // compares the stored key bytes with the requested ones, so a hash
