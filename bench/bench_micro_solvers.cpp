@@ -113,11 +113,11 @@ void BM_HistogramRuntime(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRuntime)->Unit(benchmark::kMillisecond);
 
-/// Records the size of the ones a warm replay of the small Fig. 8 sweep and
-/// the fleet matrix hits, in that pass's mix: 54 NoC evaluations (36-37 KB
-/// keys, 217 B values), 18 platform layouts (33.5 KB keys, 3.2 KB values)
-/// and 6 sweep points (165 KB keys, 5.5 KB values).  Random bytes, so every
-/// key is distinct.
+/// Records sized as the 78 hits of one warm replay of the small Fig. 8
+/// sweep and the fleet matrix: 54 NoC evaluations (36-37 KB keys, 217 B
+/// values), 18 platform layouts (33.5 KB keys, 3.2 KB values) and 6 sweep
+/// points (165 KB keys, 5.5 KB values).  Random bytes, so every key is
+/// distinct.
 std::vector<std::pair<std::string, std::string>> warm_replay_records() {
   Rng rng{11};
   const auto bytes = [&rng](std::size_t n) {
