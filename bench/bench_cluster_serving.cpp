@@ -24,6 +24,7 @@
 #include <iostream>
 #include <queue>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -182,6 +183,19 @@ int main(int argc, char** argv) {
       static_cast<double>(sim.net_eval().stats().misses);
   m["bench_cluster.matrix.platform_searches"] =
       static_cast<double>(sim.platform_cache().misses());
+  // Matrix platforms that built their routing tables: only a NoC
+  // evaluation that missed the store reads them, so a warm pass builds
+  // none.  (The NVFI references share the nvfi-mesh type's platforms.)
+  std::set<const sysmodel::BuiltPlatform*> routed;
+  for (const auto& profile : profiles) {
+    for (const cluster::PlatformTypeSpec& type : types) {
+      const auto platform =
+          sim.platform_cache().get(profile, type.params, sim.vf_table());
+      if (platform->routing_tables.size() > 0) routed.insert(platform.get());
+    }
+  }
+  m["bench_cluster.matrix.routing_builds"] =
+      static_cast<double>(routed.size());
   std::cout << "service matrix: " << matrix.apps() << " apps x "
             << matrix.types() << " platform types in " << matrix_s << " s ("
             << sim.net_eval().stats().hits << " cache hits)\n";

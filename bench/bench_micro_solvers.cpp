@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): VFI clustering solvers, min-hop thread
-// mapping, the threaded MapReduce runtime, the evaluation store's warm hits
-// and the task simulator.  Engineering numbers, not paper figures.
+// mapping, the threaded MapReduce runtime, the evaluation store's warm hits,
+// the task simulator, platform assembly and up*/down* table construction.
+// Engineering numbers, not paper figures.
 
 #include <benchmark/benchmark.h>
 
@@ -12,8 +13,10 @@
 
 #include "mapreduce/apps/histogram.hpp"
 #include "mapreduce/apps/wordcount.hpp"
+#include "noc/routing.hpp"
 #include "power/vf_table.hpp"
 #include "store/eval_store.hpp"
+#include "sysmodel/platform.hpp"
 #include "sysmodel/task_sim.hpp"
 #include "vfi/clustering.hpp"
 #include "winoc/thread_mapping.hpp"
@@ -202,6 +205,71 @@ void BM_SimulatePhase(benchmark::State& state) {
                           static_cast<std::int64_t>(tasks.size()));
 }
 BENCHMARK(BM_SimulatePhase)->Unit(benchmark::kMicrosecond);
+
+/// A platform as a store hit has it: the inputs and the searched layout.
+struct StoredPlatform {
+  workload::AppProfile profile;
+  sysmodel::PlatformParams params;
+  sysmodel::PlatformLayout layout;
+};
+
+/// The 18 platforms of a warm replay pass: every catalog app on each of
+/// the three system kinds, searched once.
+const std::vector<StoredPlatform>& catalog_platforms() {
+  static const std::vector<StoredPlatform> stored = [] {
+    std::vector<StoredPlatform> out;
+    for (workload::App app : workload::kAllApps) {
+      for (sysmodel::SystemKind kind :
+           {sysmodel::SystemKind::kNvfiMesh, sysmodel::SystemKind::kVfiMesh,
+            sysmodel::SystemKind::kVfiWinoc}) {
+        StoredPlatform p{workload::make_profile(app), {}, {}};
+        p.params.kind = kind;
+        p.layout = sysmodel::search_platform(p.profile, p.params,
+                                             power::VfTable::standard());
+        out.push_back(std::move(p));
+      }
+    }
+    return out;
+  }();
+  return stored;
+}
+
+void BM_AssemblePlatform(benchmark::State& state) {
+  // The 18 assemblies of a warm replay pass, each from a copy of its
+  // stored layout as a store hit decodes one.
+  const auto& stored = catalog_platforms();
+  for (auto _ : state) {
+    for (const StoredPlatform& p : stored) {
+      const sysmodel::BuiltPlatform built =
+          sysmodel::assemble_platform(p.profile, p.params, p.layout);
+      benchmark::DoNotOptimize(built.node_traffic.data().data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stored.size()));
+}
+BENCHMARK(BM_AssemblePlatform)->Unit(benchmark::kMicrosecond);
+
+void BM_UpDownRoutingBuild(benchmark::State& state) {
+  // The healthy up*/down* tables of the six catalog WiNoCs, at the
+  // platforms' wireless cost of 2.0.
+  std::vector<graph::Graph> winocs;
+  for (const StoredPlatform& p : catalog_platforms()) {
+    if (p.params.kind != sysmodel::SystemKind::kVfiWinoc) continue;
+    winocs.push_back(
+        sysmodel::assemble_platform(p.profile, p.params, p.layout)
+            .topology.graph);
+  }
+  for (auto _ : state) {
+    for (const graph::Graph& g : winocs) {
+      const noc::UpDownRouting routing{g, 2.0};
+      benchmark::DoNotOptimize(routing.root());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(winocs.size()));
+}
+BENCHMARK(BM_UpDownRoutingBuild)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
               ? static_cast<double>(eval.metrics.energy.switch_traversals) /
                     static_cast<double>(eval.flits_delivered)
               : 0.0;
-      noc::Network probe{built.topology, *built.routing, params.noc_sim,
+      noc::Network probe{built.topology, built.routing(), params.noc_sim,
                          built.wireless};
       out.add_row({profile.name(), sysmodel::system_name(kind),
                    fmt(built.node_traffic.sum(), 3),

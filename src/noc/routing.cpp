@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "common/require.hpp"
 #include "noc/topology.hpp"
@@ -154,90 +153,56 @@ UpDownRouting::UpDownRouting(const graph::Graph& g, const UpDownOptions& opts)
     for (auto& layer : per_budget) layer.assign(n_ * n_, kHole);
   }
 
-  // Nodes in ascending (level, id) order: the up-move DAG points from larger
-  // to smaller keys, so processing ascending gives a valid DP order.
+  // Nodes in ascending (level, id) order.  A down move always goes to a
+  // larger key and an up move to a smaller one, so both move sets are
+  // acyclic: the all-down costs are one DP in descending order, the legal
+  // costs one DP in ascending order.
   std::vector<graph::NodeId> asc(n_);
   for (graph::NodeId v = 0; v < n_; ++v) asc[v] = v;
   std::sort(asc.begin(), asc.end(),
             [&](graph::NodeId a, graph::NodeId b) { return order.less(a, b); });
 
   // Per-destination cost arrays; index 0 = wire-only, 1 = one wireless hop
-  // still available.
+  // still available.  A cost sums wire hops of 1.0 and at most one
+  // wireless hop, whose cost the library sets to 2.0 or 2.5: every sum is
+  // exact in binary, so a DP finds the very minimum a heap search would.
   std::vector<double> du[2] = {std::vector<double>(n_),
                                std::vector<double>(n_)};
   std::vector<double> dup[2] = {std::vector<double>(n_),
                                 std::vector<double>(n_)};
 
-  using Item = std::pair<double, graph::NodeId>;
-  // Scratch buffers hoisted out of the destination loop: the ctor runs once
-  // per fault slice on the hot degraded-rebuild path, and per-destination
-  // reallocation of the queue and the candidate lists dominates its cost.
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  // Candidate entries: hop index << 1 | down phase.
+  // Candidate lists hoisted out of the destination loop: the ctor runs once
+  // per fault slice on the hot degraded-rebuild path.  Entries: hop index
+  // << 1 | down phase.
   std::vector<std::uint8_t> down_opts;
   std::vector<std::uint8_t> up_opts;
 
   for (graph::NodeId dest = 0; dest < n_; ++dest) {
-    // ---- Pass 1a: wire-only all-down costs (reverse Dijkstra).  A move
-    // v->u is "down" iff u is the lower-priority end (order.less(v, u)).
-    std::fill(du[0].begin(), du[0].end(), kInfW);
-    du[0][dest] = 0.0;
-    {
-      pq.emplace(0.0, dest);
-      while (!pq.empty()) {
-        const auto [dcur, u] = pq.top();
-        pq.pop();
-        if (dcur > du[0][u] + kEps) continue;
-        for (std::size_t k = adj_start[u]; k < adj_start[u + 1]; ++k) {
-          const Adj& a = adj[k];
-          if (a.wireless) continue;
-          // Need v -> u to be a down move, i.e. order.less(v, u).
-          if (a.down) continue;
-          const double nd = du[0][u] + a.cost;
-          if (nd + kEps < du[0][a.nbr]) {
-            du[0][a.nbr] = nd;
-            pq.emplace(nd, a.nbr);
+    // ---- Pass 1: all-down costs, DP over the down-move DAG in descending
+    // order, so every down move v -> w (order.less(v, w)) finds w final.
+    // Budget 0 takes wire down moves only; budget 1 also takes one
+    // wireless down move, which spends the budget and continues wire-only.
+    for (auto it = asc.rbegin(); it != asc.rend(); ++it) {
+      const graph::NodeId v = *it;
+      double d0 = v == dest ? 0.0 : kInfW;
+      double d1 = d0;
+      for (std::size_t k = adj_start[v]; k < adj_start[v + 1]; ++k) {
+        const Adj& a = adj[k];
+        if (!a.down) continue;
+        const graph::NodeId w = a.nbr;
+        if (du[0][w] != kInfW) {
+          if (a.wireless) {
+            d1 = std::min(d1, du[0][w] + a.cost);
+          } else {
+            d0 = std::min(d0, du[0][w] + a.cost);
           }
         }
-      }
-    }
-
-    // ---- Pass 1b: budget-1 all-down costs.  Wireless down-edges bridge to
-    // the budget-0 costs; wire edges relax within budget 1.
-    std::fill(du[1].begin(), du[1].end(), kInfW);
-    {
-      du[1][dest] = 0.0;
-      pq.emplace(0.0, dest);
-      for (graph::EdgeId we = 0; we < g.edge_count(); ++we) {
-        const auto& ed = g.edge(we);
-        if (ed.kind != graph::EdgeKind::kWireless || !alive(we)) continue;
-        // Taking the wireless edge v -> u (down) consumes the budget, so the
-        // remainder is wire-only: candidate du1[v] = cw + du0[u].
-        for (const auto& [v, u] :
-             {std::pair{ed.a, ed.b}, std::pair{ed.b, ed.a}}) {
-          if (!order.less(v, u)) continue;
-          if (du[0][u] == kInfW) continue;
-          const double nd = du[0][u] + wireless_cost;
-          if (nd + kEps < du[1][v]) {
-            du[1][v] = nd;
-            pq.emplace(nd, v);
-          }
+        if (!a.wireless && du[1][w] != kInfW) {
+          d1 = std::min(d1, du[1][w] + a.cost);
         }
       }
-      while (!pq.empty()) {
-        const auto [dcur, u] = pq.top();
-        pq.pop();
-        if (dcur > du[1][u] + kEps) continue;
-        for (std::size_t k = adj_start[u]; k < adj_start[u + 1]; ++k) {
-          const Adj& a = adj[k];
-          if (a.wireless || a.down) continue;
-          const double nd = du[1][u] + a.cost;
-          if (nd + kEps < du[1][a.nbr]) {
-            du[1][a.nbr] = nd;
-            pq.emplace(nd, a.nbr);
-          }
-        }
-      }
+      du[0][v] = d0;
+      du[1][v] = d1;
     }
 
     // ---- Pass 2: legal costs, DP over the (acyclic) up-move DAG.

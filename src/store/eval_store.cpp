@@ -361,10 +361,9 @@ std::size_t EvalStore::keys() const {
   std::lock_guard<std::mutex> lock{mutex_};
   std::size_t indexed = 0;
   for (const auto& [hash, locs] : index_) indexed += locs.size();
-  // fresh_ entries that were flushed are also indexed; the exact distinct
-  // count is not worth a full key scan — report the larger of the two
-  // views (equal once everything is flushed).
-  return std::max(indexed, fresh_.size());
+  // put() queues only keys that are not indexed, and a flush indexes its
+  // batch once it leaves pending_, so the two views never overlap.
+  return indexed + pending_.size();
 }
 
 std::size_t EvalStore::segments() const {

@@ -116,7 +116,9 @@ class EvalStore {
   void flush();
 
   StoreStats stats() const;
-  /// Distinct keys visible to get() (indexed + pending).
+  /// Keys visible to get(): the indexed records plus the pending ones.  The
+  /// batch of a flush still writing (or one that failed to write) is left
+  /// out, and a key two processes both committed counts twice.
   std::size_t keys() const;
   /// Committed segment files currently indexed.
   std::size_t segments() const;

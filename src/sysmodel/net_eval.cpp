@@ -99,7 +99,7 @@ NetworkEval evaluate_cycle_accurate(const BuiltPlatform& platform,
                                     const PlatformParams& params,
                                     const noc::SimConfig& sim_cfg,
                                     const power::NocPowerModel& noc_power) {
-  noc::Network net{platform.topology, *platform.routing, sim_cfg,
+  noc::Network net{platform.topology, platform.routing(), sim_cfg,
                    platform.wireless, &platform.degraded_routes};
   noc::MatrixTraffic gen{node_traffic, packet_flits, params.traffic_seed};
   net.run(&gen, params.sim_cycles);
@@ -132,7 +132,7 @@ NetworkEval evaluate_analytical(const BuiltPlatform& platform,
   const std::shared_ptr<const noc::AnalyticalNocModel> model =
       platform.analytical_models.get(key.take(), [&] {
         return std::make_shared<const noc::AnalyticalNocModel>(
-            platform.topology, *platform.routing, platform.wireless, cfg);
+            platform.topology, platform.routing(), platform.wireless, cfg);
       });
   noc::AnalyticalDetail detail;
   const noc::Metrics metrics =
@@ -164,7 +164,8 @@ std::string cache_key(const BuiltPlatform& platform,
   key(analytical_band(params.fidelity));
 
   // The platform: system kind selects the routing algorithm (XY vs.
-  // up*/down*), and wire lengths feed the energy model.
+  // up*/down*; assemble_platform records it as the platform's
+  // routing_kind), and wire lengths feed the energy model.
   key(store::as<std::uint32_t>(params.kind), platform.has_vfi,
       platform.topology, platform.wireless);
 

@@ -60,7 +60,7 @@ BuiltPlatform::BuiltPlatform(BuiltPlatform&& other) noexcept {
 
 BuiltPlatform& BuiltPlatform::operator=(BuiltPlatform&& other) noexcept {
   topology = std::move(other.topology);
-  routing = std::move(other.routing);
+  routing_kind = other.routing_kind;
   wireless = std::move(other.wireless);
   thread_to_node = std::move(other.thread_to_node);
   node_traffic = std::move(other.node_traffic);
@@ -69,7 +69,21 @@ BuiltPlatform& BuiltPlatform::operator=(BuiltPlatform&& other) noexcept {
   wi_count = other.wi_count;
   analytical_models.clear();
   degraded_routes.clear();
+  routing_tables.clear();
   return *this;
+}
+
+const noc::RoutingAlgorithm& BuiltPlatform::routing() const {
+  // The memo's entry keeps the tables alive, so the reference outlives the
+  // shared_ptr copy get() returns.
+  return *routing_tables.get(
+      {}, [&]() -> std::shared_ptr<const noc::RoutingAlgorithm> {
+        if (routing_kind == RoutingKind::kUpDown) {
+          return std::make_shared<const noc::UpDownRouting>(topology.graph,
+                                                            2.0);
+        }
+        return std::make_shared<const noc::XyRouting>(topology.graph, 8, 8);
+      });
 }
 
 PlatformLayout search_platform(const workload::AppProfile& profile,
@@ -117,13 +131,9 @@ BuiltPlatform assemble_platform(const workload::AppProfile& profile,
   for (const graph::Edge& e : layout.edges) {
     built.topology.graph.add_edge(e.a, e.b, e.kind, e.length_mm);
   }
-  if (params.kind == SystemKind::kVfiWinoc) {
-    built.routing =
-        std::make_unique<noc::UpDownRouting>(built.topology.graph, 2.0);
-  } else {
-    built.routing =
-        std::make_unique<noc::XyRouting>(built.topology.graph, 8, 8);
-  }
+  built.routing_kind = params.kind == SystemKind::kVfiWinoc
+                           ? RoutingKind::kUpDown
+                           : RoutingKind::kXy;
   built.wireless = std::move(layout.wireless);
   built.wi_count = built.wireless.interfaces.size();
   built.thread_to_node = std::move(layout.thread_to_node);

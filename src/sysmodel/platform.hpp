@@ -110,23 +110,41 @@ struct PlatformParams {
 std::string telemetry_label(const workload::AppProfile& profile,
                             const PlatformParams& params);
 
+/// The routing tables a platform's NoC runs on: XY on the 8x8 mesh, or
+/// up*/down* with wireless hops at cost 2.0 on the small-world WiNoC.
+enum class RoutingKind : std::uint8_t { kXy, kUpDown };
+
 /// A constructed platform, ready for network simulation.
 struct BuiltPlatform {
   noc::Topology topology;
-  std::unique_ptr<noc::RoutingAlgorithm> routing;
+  /// Which tables routing() builds over `topology`.
+  RoutingKind routing_kind = RoutingKind::kXy;
   noc::WirelessConfig wireless;
   std::vector<graph::NodeId> thread_to_node;
   Matrix node_traffic;  ///< thread traffic pushed through the mapping
   vfi::VfiDesign vfi;   ///< meaningful only when has_vfi
   bool has_vfi = false;
   std::size_t wi_count = 0;
+
+  /// The routing tables `routing_kind` names, built on the first call and
+  /// kept for later ones; concurrent first calls wait for one build.  Only
+  /// a NoC evaluation that missed both the memo and the store reads them,
+  /// so a platform replayed from the store never builds its tables.
+  const noc::RoutingAlgorithm& routing() const;
+
+  /// The memo behind routing(), under one fixed key.  Its build takes no
+  /// other lock, so an analytical-model build may call routing() while it
+  /// holds its own entry: the lock order is always analytical_models, then
+  /// routing_tables.
+  mutable ComputeOnce<std::shared_ptr<const noc::RoutingAlgorithm>>
+      routing_tables;
   /// Lazily-populated memo of analytical NoC models over this platform
   /// (see noc/analytical.hpp), keyed on a serialized evaluation config
   /// (window, clustering, synchronizer penalty, fault schedule).  A model
   /// depends on the platform plus that config — not on the traffic matrix —
   /// so the phase evaluations of a run (and every sweep point sharing this
   /// platform through a PlatformCache) reuse one construction.  Models hold
-  /// pointers into this platform's topology.
+  /// pointers into this platform's topology and routing tables.
   mutable ComputeOnce<std::shared_ptr<const noc::AnalyticalNocModel>>
       analytical_models;
   /// The degraded up*/down* tables cycle-accurate fault runs over this
@@ -137,9 +155,10 @@ struct BuiltPlatform {
   mutable noc::DegradedRoutes degraded_routes;
 
   BuiltPlatform() = default;
-  /// A move hands over the platform but not its memos: their entries
-  /// point into the moved-from topology, so the moved-to platform starts
-  /// with empty memos and rebuilds what it needs.
+  /// A move hands over the platform but not its memos: analytical models
+  /// point into the moved-from topology and tables, so the moved-to
+  /// platform starts with all three memos empty and rebuilds what it
+  /// needs.
   BuiltPlatform(BuiltPlatform&& other) noexcept;
   BuiltPlatform& operator=(BuiltPlatform&& other) noexcept;
 };
@@ -163,9 +182,11 @@ PlatformLayout search_platform(const workload::AppProfile& profile,
                                const power::VfTable& table);
 
 /// The assembly half: the 8x8 switch grid with `layout`'s edges added in
-/// EdgeId order, the profile's traffic pushed through the mapping, and the
-/// routing tables (XY on a mesh, up*/down* on the WiNoC).  Deterministic
-/// in its inputs, so a stored layout rebuilds the platform its search built.
+/// EdgeId order and the profile's traffic pushed through the mapping.  It
+/// builds no routing tables, only records their kind (XY on a mesh,
+/// up*/down* on the WiNoC) for BuiltPlatform::routing() to build on first
+/// use.  Deterministic in its inputs, so a stored layout rebuilds the
+/// platform its search built.
 BuiltPlatform assemble_platform(const workload::AppProfile& profile,
                                 const PlatformParams& params,
                                 PlatformLayout layout);

@@ -79,19 +79,28 @@ double vfi_network_v2_factor(const Matrix& node_traffic,
                                           << " nodes but the traffic matrix "
                                           << "has " << node_traffic.rows());
   const std::size_t n = node_traffic.rows();
+  // Each node's island V^2.  Only a node that carries traffic must have a
+  // V/F point, so the range check stays in the loop.
+  std::vector<double> v2(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (node_cluster[i] < cluster_vf.size()) {
+      const double v = cluster_vf[node_cluster[i]].voltage_v;
+      v2[i] = v * v;
+    }
+  }
+  const double v_nom2 = v_nom * v_nom;
+  const double* row = node_traffic.data().data();
   double weighted = 0.0;
   double total = 0.0;
-  for (std::size_t s = 0; s < n; ++s) {
+  for (std::size_t s = 0; s < n; ++s, row += n) {
     for (std::size_t d = 0; d < n; ++d) {
-      const double w = node_traffic(s, d);
+      const double w = row[d];
       if (w <= 0.0) continue;
       VFIMR_REQUIRE_MSG(node_cluster[s] < cluster_vf.size() &&
                             node_cluster[d] < cluster_vf.size(),
                         "node cluster id out of range of the V/F assignment");
-      const double vs = cluster_vf[node_cluster[s]].voltage_v;
-      const double vd = cluster_vf[node_cluster[d]].voltage_v;
       // A packet spends roughly half its hops in each endpoint's island.
-      weighted += w * 0.5 * (vs * vs + vd * vd) / (v_nom * v_nom);
+      weighted += w * 0.5 * (v2[s] + v2[d]) / v_nom2;
       total += w;
     }
   }

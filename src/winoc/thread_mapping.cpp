@@ -200,12 +200,20 @@ Matrix map_traffic(const Matrix& thread_traffic,
                    std::size_t nodes) {
   const std::size_t n = thread_to_node.size();
   VFIMR_REQUIRE(thread_traffic.rows() == n && thread_traffic.cols() == n);
+  for (const graph::NodeId node : thread_to_node) {
+    VFIMR_REQUIRE_MSG(node < nodes, "thread mapped to node " << node
+                                        << " of a " << nodes
+                                        << "-node network");
+  }
   Matrix out{nodes, nodes};
-  for (std::size_t t = 0; t < n; ++t) {
+  const double* row = thread_traffic.data().data();
+  double* const cells = out.data().data();
+  for (std::size_t t = 0; t < n; ++t, row += n) {
+    double* const out_row = cells + thread_to_node[t] * nodes;
     for (std::size_t u = 0; u < n; ++u) {
       if (t == u) continue;
-      const double w = thread_traffic(t, u);
-      if (w > 0.0) out(thread_to_node[t], thread_to_node[u]) += w;
+      const double w = row[u];
+      if (w > 0.0) out_row[thread_to_node[u]] += w;
     }
   }
   return out;

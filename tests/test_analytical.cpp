@@ -168,9 +168,9 @@ TEST(Analytical, DeterministicReplay) {
     cfg.node_cluster = winoc::quadrant_clusters();
     const Matrix m =
         random_traffic(rng, built.topology.node_count(), 50, 0.01);
-    const AnalyticalNocModel a{built.topology, *built.routing, built.wireless,
+    const AnalyticalNocModel a{built.topology, built.routing(), built.wireless,
                                cfg};
-    const AnalyticalNocModel b{built.topology, *built.routing, built.wireless,
+    const AnalyticalNocModel b{built.topology, built.routing(), built.wireless,
                                cfg};
     const Metrics ma = a.evaluate(m, kFlits);
     const Metrics mb = b.evaluate(m, kFlits);

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "noc/routing.hpp"
 #include "noc/topology.hpp"
 #include "sysmodel/net_eval.hpp"
 #include "sysmodel/sweep.hpp"
@@ -458,11 +457,11 @@ TEST(PlatformCacheKey, MissesOnDesignInputsHitsOnEverythingElse) {
 // ---- NetworkEvaluator: keyed on the NoC inputs, blind to the task side.
 
 /// A hand-built 8x8 mesh platform, so the test can perturb the topology
-/// and the wireless layout directly.
+/// and the wireless layout directly.  Its XY tables are built on first use.
 BuiltPlatform mesh_platform() {
   BuiltPlatform b;
   b.topology = noc::make_mesh(8, 8);
-  b.routing = std::make_unique<noc::XyRouting>(b.topology.graph, 8, 8);
+  b.routing_kind = RoutingKind::kXy;
   return b;
 }
 
@@ -496,8 +495,10 @@ TEST(NetworkEvaluatorKey, MissesOnNocInputsHitsOnTaskSideKnobs) {
   with_vfi.has_vfi = true;
   BuiltPlatform moved = mesh_platform();
   moved.topology.positions[5].x_mm += 0.1;
+  // A diagonal wire is no mesh, which XY rejects: route it up*/down*.
   BuiltPlatform extra_edge = mesh_platform();
   extra_edge.topology.add_wire(0, 9);
+  extra_edge.routing_kind = RoutingKind::kUpDown;
   BuiltPlatform channels = mesh_platform();
   channels.wireless.channel_count = 2;
   BuiltPlatform with_wi = mesh_platform();

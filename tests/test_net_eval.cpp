@@ -167,8 +167,9 @@ TEST(NetEval, DegradedTableMemoReplaysBitIdentically) {
 }
 
 /// Memo entries point into their platform's topology (an analytical model
-/// keeps a pointer to it), so a move hands over the platform but not the
-/// memos: the moved-to platform evaluates exactly as the original did.
+/// keeps a pointer to it and to the routing tables), so a move hands over
+/// the platform but not the memos: the moved-to platform evaluates exactly
+/// as the original did.
 TEST(NetEval, MovedPlatformStartsWithEmptyMemos) {
   const FullSystemSim sim;
   const auto wc = workload::make_profile(workload::App::kWC);
@@ -192,12 +193,16 @@ TEST(NetEval, MovedPlatformStartsWithEmptyMemos) {
   const std::string before_faulty = eval(built, wc, faulty);
   ASSERT_EQ(built.analytical_models.size(), 1u);
   ASSERT_GT(built.degraded_routes.size(), 0u);
+  ASSERT_EQ(built.routing_tables.size(), 1u);
 
   BuiltPlatform moved{std::move(built)};
   EXPECT_EQ(moved.analytical_models.size(), 0u);
   EXPECT_EQ(moved.degraded_routes.size(), 0u);
+  EXPECT_EQ(moved.routing_tables.size(), 0u);
+  EXPECT_EQ(moved.routing_kind, RoutingKind::kUpDown);
   EXPECT_TRUE(eval(moved, wc, analytical) == before);
   EXPECT_TRUE(eval(moved, wc, faulty) == before_faulty);
+  EXPECT_EQ(moved.routing_tables.size(), 1u);
 
   // Move assignment also drops the target's own entries, which point into
   // the topology it gives up.  Same window and clustering, no faults: a
@@ -206,8 +211,10 @@ TEST(NetEval, MovedPlatformStartsWithEmptyMemos) {
   BuiltPlatform target = build_platform(hist, analytical, sim.vf_table());
   (void)eval(target, hist, analytical);
   ASSERT_EQ(target.analytical_models.size(), 1u);
+  ASSERT_EQ(target.routing_tables.size(), 1u);
   target = std::move(moved);
   EXPECT_EQ(target.analytical_models.size(), 0u);
+  EXPECT_EQ(target.routing_tables.size(), 0u);
   EXPECT_TRUE(eval(target, wc, analytical) == before);
 }
 

@@ -295,6 +295,25 @@ TEST(EvalStore, PutGetFlushReopen) {
   EXPECT_EQ(st.segments(), 1u);  // one flush, one segment
 }
 
+TEST(EvalStore, KeysCountPendingRecordsOfAReopenedStore) {
+  // A store reopened over committed records counts what it indexed plus
+  // what it has put since, before and after the flush.
+  TempDir tmp{"keys"};
+  {
+    EvalStore st{tmp.path};
+    for (int i = 0; i < 10; ++i) st.put("old" + std::to_string(i), "v");
+    st.flush();
+  }
+  EvalStore st{tmp.path};
+  ASSERT_EQ(st.keys(), 10u);
+  for (int i = 0; i < 4; ++i) st.put("new" + std::to_string(i), "v");
+  st.put("old0", "v");  // already on disk: not queued again
+  EXPECT_EQ(st.keys(), 14u);
+  st.flush();
+  EXPECT_EQ(st.keys(), 14u);
+  EXPECT_EQ(st.segments(), 2u);
+}
+
 TEST(EvalStore, DomainKeysNeverCollide) {
   const std::string key = "same payload";
   EXPECT_NE(domain_key(KeyDomain::kNetworkEval, key),
@@ -572,6 +591,7 @@ void expect_identical(const BuiltPlatform& a, const BuiltPlatform& b) {
   }
   EXPECT_EQ(a.has_vfi, b.has_vfi);
   expect_identical(a.vfi, b.vfi);
+  EXPECT_EQ(a.routing_kind, b.routing_kind);
   const auto n = static_cast<graph::NodeId>(a.topology.node_count());
   std::size_t differing_hops = 0;
   for (graph::NodeId node = 0; node < n; ++node) {
@@ -580,9 +600,9 @@ void expect_identical(const BuiltPlatform& a, const BuiltPlatform& b) {
       for (const bool down : {false, true}) {
         for (const bool wireless_used : {false, true}) {
           const noc::RouteDecision x =
-              hop_or_hole(*a.routing, node, dest, down, wireless_used);
+              hop_or_hole(a.routing(), node, dest, down, wireless_used);
           const noc::RouteDecision y =
-              hop_or_hole(*b.routing, node, dest, down, wireless_used);
+              hop_or_hole(b.routing(), node, dest, down, wireless_used);
           if (x.edge != y.edge || x.down_phase != y.down_phase) {
             ++differing_hops;
           }
@@ -1074,6 +1094,48 @@ TEST(PlatformCacheStore, NvfiPlatformsRebuildFromTheStore) {
   EXPECT_EQ(warm.disk_hits(), 1u);
   EXPECT_EQ(warm.misses(), 0u);
   EXPECT_FALSE(rebuilt->has_vfi);
+}
+
+TEST(PlatformCacheStore, WarmReplayBuildsNoRoutingTables) {
+  // A run replayed from the store reads no routing table, so its platform
+  // never builds one.  The first evaluation that misses builds the tables,
+  // and later misses reuse them.
+  const auto profile = workload::make_profile(workload::App::kWC);
+  const PlatformParams params = small_params(SystemKind::kVfiWinoc);
+  TempDir tmp{"lazy_routing"};
+  SystemReport cold_report;
+  {
+    EvalStore st{tmp.path};
+    FullSystemSim cold;
+    cold.attach_store(&st);
+    cold_report = cold.run(profile, params);
+    st.flush();
+  }
+  EvalStore st{tmp.path};
+  FullSystemSim warm;
+  warm.attach_store(&st);
+  const SystemReport warm_report = warm.run(profile, params);
+  EXPECT_EQ(warm.platform_cache().misses(), 0u);
+  EXPECT_EQ(warm.net_eval().stats().misses, 0u);
+  EXPECT_GT(warm.net_eval().stats().disk_hits, 0u);
+  EXPECT_TRUE(store::encode_system_report(warm_report) ==
+              store::encode_system_report(cold_report));
+  const std::shared_ptr<const BuiltPlatform> platform =
+      warm.platform_cache().get(profile, params, warm.vf_table());
+  EXPECT_EQ(platform->routing_tables.size(), 0u);
+
+  PlatformParams reseeded = params;
+  reseeded.traffic_seed += 1;
+  (void)warm.run(profile, reseeded);
+  EXPECT_GT(warm.net_eval().stats().misses, 0u);
+  ASSERT_EQ(platform->routing_tables.size(), 1u);
+  const noc::RoutingAlgorithm* tables = &platform->routing();
+  reseeded.traffic_seed += 1;
+  const std::uint64_t misses = warm.net_eval().stats().misses;
+  (void)warm.run(profile, reseeded);
+  EXPECT_GT(warm.net_eval().stats().misses, misses);
+  EXPECT_EQ(platform->routing_tables.size(), 1u);
+  EXPECT_EQ(&platform->routing(), tables);
 }
 
 std::vector<workload::AppProfile> sweep_profiles() {

@@ -14,11 +14,15 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <latch>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel_for.hpp"
 #include "store/codec.hpp"
 #include "store/eval_store.hpp"
+#include "sysmodel/net_eval.hpp"
 #include "sysmodel/sweep.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/profile.hpp"
@@ -274,6 +278,60 @@ TEST(StressSweep, NestedPhaseWorkersShareOneSimAndStore) {
   EXPECT_EQ(nested_stats.hits, serial_stats.hits);
   EXPECT_EQ(nested_stats.disk_misses, serial_stats.misses);
   EXPECT_EQ(nested_stats.disk_hits, 0u);
+}
+
+TEST(StressSweep, EightThreadsBuildASharedPlatformsTablesOnce) {
+  // Eight threads evaluate on one cold platform at once, half in each band,
+  // so every one asks for the routing tables first: the cycle-accurate
+  // ones directly, the analytical ones from inside the model build, which
+  // holds the model's entry while it waits for the tables' entry.  One
+  // build serves them all, and every result encodes to the bytes of a
+  // serial run on a second platform.
+  const workload::AppProfile profile =
+      workload::make_profile(workload::App::kWC);
+  const FullSystemSim sim;
+  std::vector<PlatformParams> requests(8);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    PlatformParams& params = requests[i];
+    params.kind = SystemKind::kVfiWinoc;
+    params.fidelity =
+        i % 2 == 0 ? Fidelity::kCycleAccurate : Fidelity::kAnalytical;
+    params.sim_cycles = 1'500;
+    params.drain_cycles = 15'000;
+    params.traffic_seed = 100 + i;
+  }
+  const auto encoded_eval = [&](const BuiltPlatform& platform,
+                                const PlatformParams& params) {
+    return store::encode_network_eval(
+        evaluate_network(platform, platform.node_traffic,
+                         profile.packet_flits, params, sim.models().noc));
+  };
+
+  const BuiltPlatform shared =
+      build_platform(profile, requests[0], sim.vf_table());
+  ASSERT_EQ(shared.routing_tables.size(), 0u);
+  std::vector<std::string> parallel(requests.size());
+  std::vector<const noc::RoutingAlgorithm*> tables(requests.size());
+  std::latch start{static_cast<std::ptrdiff_t>(requests.size())};
+  std::vector<std::thread> workers;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    workers.emplace_back([&, i] {
+      start.arrive_and_wait();
+      parallel[i] = encoded_eval(shared, requests[i]);
+      tables[i] = &shared.routing();
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  EXPECT_EQ(shared.routing_tables.size(), 1u);
+  EXPECT_EQ(shared.analytical_models.size(), 1u);
+  const BuiltPlatform serial =
+      build_platform(profile, requests[0], sim.vf_table());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(tables[i], tables[0]) << "thread " << i;
+    EXPECT_TRUE(parallel[i] == encoded_eval(serial, requests[i]))
+        << "request " << i;
+  }
 }
 
 TEST(StressSweep, AutoFidelitySweepPromotionIsRaceFree) {

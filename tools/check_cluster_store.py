@@ -9,10 +9,12 @@ cold pass that populates it and a warm pass that must replay the service
 matrix from it.  Fails unless
 
   * the cold pass did the work: it ran platform searches and NoC
-    simulations (so the store really was filled by this job);
+    simulations and built routing tables (so the store really was filled
+    by this job);
   * the warm pass ran ZERO platform searches (every platform, the NVFI
-    baseline included, was assembled from its stored layout) and ZERO NoC
-    simulations;
+    baseline included, was assembled from its stored layout), ZERO NoC
+    simulations and built ZERO routing tables (a platform builds them on
+    first use, and only a simulation uses them);
   * the warm pass's completion digest (the completion order of every
     serving cell and the headline run) equals the cold pass's.
 """
@@ -23,6 +25,7 @@ from check_store import fail, load_metrics, need
 
 SEARCHES = "bench_cluster.matrix.platform_searches"
 SIMULATIONS = "bench_cluster.matrix.cache_misses"
+ROUTING_BUILDS = "bench_cluster.matrix.routing_builds"
 DIGEST = "bench_cluster.completion_digest"
 
 
@@ -33,11 +36,11 @@ def main():
     cold_json, warm_json = sys.argv[1:3]
     cold = load_metrics(cold_json)
     warm = load_metrics(warm_json)
-    for key in (SEARCHES, SIMULATIONS, DIGEST):
+    for key in (SEARCHES, SIMULATIONS, ROUTING_BUILDS, DIGEST):
         need(cold, cold_json, key)
         need(warm, warm_json, key)
 
-    for key in (SEARCHES, SIMULATIONS):
+    for key in (SEARCHES, SIMULATIONS, ROUTING_BUILDS):
         if cold[key] <= 0:
             fail(f"cold pass {key} = {cold[key]} (expected > 0: the store "
                  "must be filled by this job)")
@@ -49,8 +52,9 @@ def main():
              f"{cold[DIGEST]}: a replay must serve identical jobs")
 
     print(f"check_cluster_store: OK: cold {cold[SEARCHES]:.0f} searches + "
-          f"{cold[SIMULATIONS]:.0f} simulations, warm 0 + 0, completion "
-          "digests equal")
+          f"{cold[SIMULATIONS]:.0f} simulations + "
+          f"{cold[ROUTING_BUILDS]:.0f} routing-table builds, warm 0 + 0 + 0, "
+          "completion digests equal")
 
 
 if __name__ == "__main__":
